@@ -14,7 +14,7 @@ arithmetic is exact, and a deviation exists only on a strict inequality.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import ContractError, InputError, TieError
@@ -241,7 +241,9 @@ def verify_symmetric_ne(inst: AuctionInstance, bids: Sequence) -> bool:
 # slot j-1 while j shades her bid down to the bid below her; j's utility is
 # untouched and k trades slot k's margin for slot j-1's.  Whether that trade
 # helps is a closed-form comparison of two CTR-difference-weighted value
-# sums; prefix sums make every pair O(1).
+# sums.  `pair_gain` evaluates it pair by pair in `Fraction`s and is the
+# oracle; the counters below run on scaled ints and need one binary search
+# per target rank j (see `_deviation_thresholds`).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -336,38 +338,74 @@ def simulate_pair_deviation(inst: AuctionInstance, eq: str, k: int, j: int,
     return (inst.value(k) - new_price) * inst.ctr(j - 1)
 
 
-def deviating_pairs(inst: AuctionInstance, eq: str) -> list:
-    """All pairs (k, j), 1 <= k < j <= s+1, with a joint deviation.
+def _scaled(values) -> list:
+    """`Fraction`s times the lcm of their denominators: ints in the same
+    ratios."""
+    scale = lcm(*(f.denominator for f in values))
+    return [f.numerator * (scale // f.denominator) for f in values]
 
-    Prefix sums over the CTR differences make each test O(1), which keeps
-    scale sweeps (s in the hundreds) cheap.
+
+def _deviation_thresholds(inst: AuctionInstance, eq: str) -> list:
+    """lo[j] for j = 2..s+1: the pair (k, j) deviates exactly when
+    lo[j] <= k <= j-1 (lo[j] = j-1 when only the neighbour does).
+
+    `pair_gain` > 0 reads loss(k) < a_j (v'_j - T_j / x_j), where v' is the
+    value the boundary recursion attaches to a rank, W[t] the prefix sum
+    sum_{u=2..t} (x_{u-1}-x_u) v'_u, loss(k) = v_k (x_k - x_{j-1}) -
+    (W[j-1] - W[k]) the margin k forfeits, a_j = x_{j-1} - x_j and
+    T_j = W[s+1] - W[j].  CTRs and values are scaled once to ints (each by
+    the lcm of its denominators; both sides of the test scale alike) and
+    the test is multiplied by x_j > 0 (j <= s) to clear the division.
+
+    For fixed j, loss(k) never increases with k:
+    loss(k) - loss(k+1) = (v_k - v_{k+1}) (x_k - x_{j-1}) at LE and
+    (v_k - v_{k+1}) (x_{k+1} - x_{j-1}) at UE, both >= 0 for k <= j-2.  So
+    the deviating k form a suffix of 1..j-2 and one binary search per j finds
+    its start: O(s log s) int operations in all.
     """
     if eq not in _EQUILIBRIA:
         raise InputError(f"equilibrium must be one of {_EQUILIBRIA}")
     s = inst.s
-    x = [inst.ctr(i) for i in range(0, s + 2)]  # x[i] = ctr of slot i, x[0] unused
-    v = [_value_for(inst, eq, i) for i in range(0, s + 2)]
-    vk = [inst.value(i) for i in range(0, s + 2)]
-    # W[t] = sum_{u=2..t} (x_{u-1}-x_u) v_u
-    W = [Fraction(0)] * (s + 2)
+    x = _scaled([inst.ctr(i) for i in range(0, s + 2)])  # x[0] unused
+    v = _scaled([inst.value(i) for i in range(0, s + 2)])  # v[0] = 0 unused
+    vr = [0] + v[:-1] if eq == UE else v  # vr[t] = value attached to rank t
+    W = [0] * (s + 2)
     for u in range(2, s + 2):
-        W[u] = W[u - 1] + (x[u - 1] - x[u]) * v[u]
-    pairs = []
-    for k in range(1, s + 1):
-        pairs.append((k, k + 1))
-    for k in range(1, s + 1):
-        for j in range(k + 2, s + 2):
-            loss = vk[k] * (x[k] - x[j - 1]) - (W[j - 1] - W[k])
-            a = x[j - 1] - x[j]
-            tail = (W[s + 1] - W[j]) / x[j] if j <= s else Fraction(0)
-            if a * (v[j] - tail) - loss > 0:
-                pairs.append((k, j))
-    pairs.sort()
-    return pairs
+        W[u] = W[u - 1] + (x[u - 1] - x[u]) * vr[u]
+    lo = [0, 0]
+    for j in range(2, s + 2):
+        m = x[j] if j <= s else 1
+        bound = (x[j - 1] - x[j]) * (vr[j] * m - (W[s + 1] - W[j]))
+        first, last = 1, j - 1  # k = j-1, the neighbour, always deviates
+        while first < last:
+            k = (first + last) // 2
+            if (v[k] * (x[k] - x[j - 1]) - (W[j - 1] - W[k])) * m < bound:
+                last = k
+            else:
+                first = k + 1
+        lo.append(first)
+    return lo
+
+
+def deviating_pairs(inst: AuctionInstance, eq: str) -> list:
+    """All pairs (k, j), 1 <= k < j <= s+1, with a joint deviation, sorted.
+
+    Every neighbour pair (k, k+1) deviates; a distant pair deviates exactly
+    when `pair_gain` is positive.  Exact int arithmetic, one threshold per
+    target rank: O(s log s) plus the length of the list.
+    """
+    lo = _deviation_thresholds(inst, eq)
+    targets = [[] for _ in range(inst.s + 1)]
+    for j in range(2, inst.s + 2):
+        for k in range(lo[j], j):
+            targets[k].append(j)
+    return [(k, j) for k in range(1, inst.s + 1) for j in targets[k]]
 
 
 def count_pair_deviations(inst: AuctionInstance, eq: str) -> int:
-    return len(deviating_pairs(inst, eq))
+    """len(deviating_pairs(inst, eq)) without building the list."""
+    lo = _deviation_thresholds(inst, eq)
+    return sum(j - lo[j] for j in range(2, inst.s + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +495,12 @@ def coalition_deviates(inst: AuctionInstance, eq: str, members: Sequence) -> boo
     """A coalition moves exactly when some pair inside it moves: the cheapest
     member is always indifferent and any extra member can free-ride, so joint
     gains reduce to pair gains."""
+    if eq not in _EQUILIBRIA:
+        raise InputError(f"equilibrium must be one of {_EQUILIBRIA}")
     members = tuple(members)
     if not is_potential_coalition(members, inst.s, inst.n):
         raise ContractError("only potential coalitions are counted")
     predicate = le_pair_deviates if eq == LE else ue_pair_deviates
-    if eq not in _EQUILIBRIA:
-        raise InputError(f"equilibrium must be one of {_EQUILIBRIA}")
     eligible = [r for r in members if r <= inst.s + 1]
     for k, j in itertools.combinations(eligible, 2):
         if predicate(inst, k, j):
@@ -471,11 +509,12 @@ def coalition_deviates(inst: AuctionInstance, eq: str, members: Sequence) -> boo
 
 
 def count_coalition_deviations(inst: AuctionInstance, eq: str, r: int) -> int:
-    pairs = set(deviating_pairs(inst, eq))
+    """Number of size-r potential coalitions containing a deviating pair."""
+    lo = _deviation_thresholds(inst, eq)
     count = 0
     for members in iter_potential_coalitions(inst.s, inst.n, r):
         eligible = [rank for rank in members if rank <= inst.s + 1]
-        if any(p in pairs for p in itertools.combinations(eligible, 2)):
+        if any(k >= lo[j] for k, j in itertools.combinations(eligible, 2)):
             count += 1
     return count
 
@@ -485,10 +524,18 @@ def count_coalition_deviations(inst: AuctionInstance, eq: str, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 def bid_grid(inst: AuctionInstance, bids: Sequence, refine: int = 4) -> tuple:
-    """Candidate bids: the profile's own bids plus evenly spaced interior
-    points of every gap, including a gap below the lowest bid and one above
-    the highest.  Deviation regions are finite unions of boxes whose walls
-    sit at the original bids, so interior points witness every box."""
+    """Candidate bids: the profile's own bids plus 2*refine - 1 evenly spaced
+    interior points of every gap, including a gap below the lowest bid and
+    one above the highest.
+
+    The grid is a sample, not a proof.  Allocations change only at the
+    bids, but a member's utility also crosses its starting level where its
+    price meets a threshold set by values and CTRs, which can fall anywhere
+    inside a gap.  A deviation region can therefore lie strictly between
+    two grid points: at s=2, values (108, 73, 43), CTRs (62, 28) and LE,
+    the pair (1, 3) deviates only if bidder 3 bids below 1/2, and the
+    lowest point at refine 4 is 43/8.  A witness found on the grid is a real
+    deviation; finding none does not rule one out."""
     if refine < 1:
         raise InputError("refine must be at least 1")
     anchors = sorted({Fraction(b) for b in bids})

@@ -58,10 +58,6 @@ def parse_shape(text: str, length: int) -> tuple:
     return auction.make_shape(auction.ShapeSpec(kind, length, beta, high, low))
 
 
-def _shape_label(text: str) -> str:
-    return text.strip()
-
-
 def build_instance(args) -> auction.AuctionInstance:
     s = args.s
     n = args.n if args.n else 2 * s
@@ -112,11 +108,13 @@ def cmd_score(args) -> int:
     try:
         vector = games.score_vector(game, profile, args.kind, args.rmax,
                                     args.budget)
-        for r in range(1, vector.r_max + 1):
-            table.append(args.profile, args.kind, r, vector.count(r))
     except BudgetExceededError as exc:
         truncated = True
-        table.provenance["truncated"] = f"budget exceeded: {exc}"
+        vector = exc.partial
+        table.provenance["truncated"] = (f"size {vector.r_max + 1}: "
+                                         f"budget exceeded: {exc}")
+    for r in range(1, vector.r_max + 1):
+        table.append(args.profile, args.kind, r, vector.count(r))
     _emit(table, args)
     if truncated:
         _error_record("budget exceeded", {"game": args.game})
@@ -310,7 +308,7 @@ def cmd_sweep(args) -> int:
         inst = auction.AuctionInstance(s, parse_shape(args.v, 2 * s),
                                        parse_shape(args.x, s))
         d2 = auction.count_pair_deviations(inst, args.eq)
-        table.append(_shape_label(args.v), _shape_label(args.x), s, args.eq,
+        table.append(args.v.strip(), args.x.strip(), s, args.eq,
                      d2, auction.potential_count(s, 2))
     _emit(table, args)
     return 0

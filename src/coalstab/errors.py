@@ -13,6 +13,8 @@ class BudgetExceededError(RuntimeError):
     """Raised when an exhaustive search would exceed its evaluation budget.
 
     Distinct from "no deviation found": the search was not performed.
+    `partial` carries the results a caller finished before the cut, when it
+    has any (`games.score_vector` sets it to the sizes it counted).
     """
 
     def __init__(self, required: int, budget: int):
@@ -21,6 +23,7 @@ class BudgetExceededError(RuntimeError):
         )
         self.required = required
         self.budget = budget
+        self.partial = None
 
 
 class ContractError(RuntimeError):

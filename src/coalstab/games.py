@@ -225,7 +225,10 @@ def score_vector(game: FiniteGame, profile: Sequence, kind: str = STRICT,
     """Count deviating coalitions of every size 1..r_max.
 
     r_max defaults to the player count; capping it avoids the binomial blowup
-    when only small coalitions are of interest.
+    when only small coalitions are of interest.  When a coalition's search
+    exceeds the budget, the BudgetExceededError raised carries the vector of
+    the sizes finished before it as `partial` (size `partial.r_max + 1` was
+    cut).
     """
     profile = game.validate_profile(profile)
     n = game.player_count
@@ -234,12 +237,16 @@ def score_vector(game: FiniteGame, profile: Sequence, kind: str = STRICT,
     if not 1 <= r_max <= n:
         raise InputError(f"r_max {r_max} outside 1..{n}")
     counts = []
-    for r in range(1, r_max + 1):
-        hits = 0
-        for members in iter_coalitions(n, r):
-            if has_deviation(game, profile, members, kind, budget):
-                hits += 1
-        counts.append(hits)
+    try:
+        for r in range(1, r_max + 1):
+            hits = 0
+            for members in iter_coalitions(n, r):
+                if has_deviation(game, profile, members, kind, budget):
+                    hits += 1
+            counts.append(hits)
+    except BudgetExceededError as exc:
+        exc.partial = ScoreVector(kind, tuple(counts), n)
+        raise
     return ScoreVector(kind, tuple(counts), n)
 
 

@@ -3,10 +3,27 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalstab import auction
 from coalstab.errors import ContractError, InputError, TieError
 from conftest import random_auction
+
+
+@st.composite
+def decreasing_rationals(draw, size):
+    """`size` distinct positive rationals, largest first: free fractions, or
+    multiples of one 1/q on a short range, where the pair test's knife-edge
+    ties (pair gain exactly 0) are common."""
+    if draw(st.booleans()):
+        elements = st.fractions(min_value=Fraction(1, 12), max_value=64,
+                                max_denominator=12)
+    else:
+        q = draw(st.integers(1, 12))
+        elements = st.integers(1, 2 * size + 1).map(lambda p: Fraction(p, q))
+    drawn = draw(st.lists(elements, min_size=size, max_size=size, unique=True))
+    return sorted(drawn, reverse=True)
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +229,28 @@ class TestPairCounts:
             assert hi == auction.potential_count(s, 2)
             assert lo <= mid <= hi
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data(), eq=st.sampled_from((auction.LE, auction.UE)))
+    def test_integer_kernel_matches_fraction_oracle(self, data, eq):
+        s = data.draw(st.integers(1, 12), label="s")
+        n = data.draw(st.integers(s + 1, 2 * s + 2), label="n")
+        inst = auction.AuctionInstance(s, data.draw(decreasing_rationals(n)),
+                                       data.draw(decreasing_rationals(s)))
+        predicate = auction.le_pair_deviates if eq == auction.LE \
+            else auction.ue_pair_deviates
+        direct = [(k, j)
+                  for k in range(1, s + 1)
+                  for j in range(k + 1, s + 2)
+                  if predicate(inst, k, j)]
+        assert auction.deviating_pairs(inst, eq) == direct
+        assert auction.count_pair_deviations(inst, eq) == len(direct)
+        moving = set(direct)
+        brute = sum(
+            any(p in moving for p in itertools.combinations(
+                [m for m in members if m <= s + 1], 2))
+            for members in auction.iter_potential_coalitions(s, n, 3))
+        assert auction.count_coalition_deviations(inst, eq, 3) == brute
+
     def test_counts_ignore_far_losers(self):
         base = auction.AuctionInstance(3, (40, 30, 22, 15, 9, 5), (9, 6, 2))
         perturbed = auction.AuctionInstance(3, (40, 30, 22, 15, 7, 3), (9, 6, 2))
@@ -291,6 +330,10 @@ class TestCoalitionReduction:
                                      for a, b in itertools.combinations(eligible, 2))
                 assert auction.coalition_deviates(inst, "le", members) == has_neighbours
 
+    def test_bad_equilibrium_rejected(self, tiny):
+        with pytest.raises(InputError):
+            auction.coalition_deviates(tiny, "vcg", (1, 2))
+
     def test_rank_by_bid_auction_is_harder_to_collude_in(self):
         inst = auction.make_instance(8, auction.ShapeSpec("linear", 16),
                                      auction.ShapeSpec("linear", 8))
@@ -298,6 +341,29 @@ class TestCoalitionReduction:
             gsp = auction.count_coalition_deviations(inst, "le", r)
             truthful = auction.count_vcg_coalition_deviations(inst, r)
             assert gsp < truthful == auction.potential_count(8, r)
+
+
+class TestGridSearch:
+    """s=2, LE, coalition (1, 3): bidder 3 shades below 1/2 and bidder 1
+    takes slot 2 at that price; the grid's lowest point is 43/8."""
+
+    @pytest.fixture()
+    def low_bid(self):
+        return auction.AuctionInstance(2, (108, 73, 43), (62, 28))
+
+    def test_low_bid_deviation_is_real(self, low_bid):
+        assert auction.coalition_deviates(low_bid, auction.LE, (1, 3))
+        bids = auction.le_bids(low_bid)
+        base = auction.gsp_outcome(low_bid, bids).utilities
+        moved = auction.gsp_outcome(low_bid, (50, bids[1], Fraction(1, 3))).utilities
+        assert moved[0] > base[0] and moved[2] == base[2]
+
+    @pytest.mark.xfail(strict=True, reason="bid_grid's lowest point is 43/8; "
+                       "the deviation needs bidder 3 below 1/2")
+    def test_grid_finds_low_bid_deviation(self, low_bid):
+        bids = auction.le_bids(low_bid)
+        assert auction.exhaustive_bid_search(low_bid, bids, (1, 3), "weak",
+                                             refine=4) is not None
 
 
 class TestShapes:

@@ -45,6 +45,15 @@ class TestScoreCommand:
         assert "truncated" in table.provenance
         assert json.loads(err.strip())["error"] == "budget exceeded"
 
+    def test_budget_cut_keeps_finished_sizes(self, capsys, example_game):
+        code, out, _ = run_cli(capsys, "score", "--game", example_game,
+                               "--profile", "repeat", "--kind", "strict",
+                               "--rmax", "3", "--budget", "300")
+        assert code == 3
+        assert out.splitlines()[2:] == ["repeat,strict,1,0", "repeat,strict,2,2"]
+        table = ResultTable.from_csv(out)
+        assert table.provenance["truncated"].startswith("size 3: ")
+
 
 class TestSrsgCommand:
     def test_repeat_profile_counts(self, capsys):

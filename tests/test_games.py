@@ -92,6 +92,12 @@ class TestScoreVector:
         profile = srsg.assignment_to_profile(small_instance, REPEAT)
         assert games.score_vector(small_game, profile, games.STRICT, 2).counts == (0, 2)
 
+    def test_budget_cut_carries_finished_sizes(self, small_instance, small_game):
+        profile = srsg.assignment_to_profile(small_instance, REPEAT)
+        with pytest.raises(BudgetExceededError) as info:
+            games.score_vector(small_game, profile, games.STRICT, 3, budget=300)
+        assert info.value.partial.counts == (0, 2)
+
     def test_split_profile_counts(self, small_instance, small_game):
         profile = srsg.assignment_to_profile(small_instance, SPLIT)
         vector = games.score_vector(small_game, profile, games.STRICT, 4)
