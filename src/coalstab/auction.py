@@ -18,6 +18,7 @@ from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import ContractError, InputError, TieError
+from .games import check_budget
 
 LE = "le"
 UE = "ue"
@@ -93,30 +94,35 @@ def bid_at(bids: Sequence, rank: int) -> Fraction:
 # Truthful welfare payments
 # ---------------------------------------------------------------------------
 
+def welfare_prices(ctrs: Sequence, ranked_values: Sequence) -> tuple:
+    """Per-click welfare price of each of the min(s, len(ranked_values)) top
+    ranks, s = len(ctrs): the CTR-difference-weighted sum of the values
+    ranked below, p_i = sum_{j=i+1..s+1} (x_{j-1}-x_j) v_j / x_i, with
+    x_{s+1} = 0 and v_j = 0 past the end of `ranked_values`.  One suffix
+    sum, O(s); every truthful price in the package is this one."""
+    s = len(ctrs)
+    winners = min(s, len(ranked_values))
+    x = list(ctrs) + [0]
+    v = list(ranked_values[:s + 1]) + [0] * (s + 1 - len(ranked_values))
+    tail = Fraction(0)  # sum_{j=i+1..s+1} (x_{j-1}-x_j) v_j as i descends
+    prices = []
+    for i in range(s, 0, -1):
+        tail += (x[i - 1] - x[i]) * v[i]
+        if i <= winners:
+            prices.append(tail / x[i - 1])
+    return tuple(reversed(prices))
+
+
 def vcg_payments(inst: AuctionInstance, reports: Optional[Sequence] = None) -> tuple:
-    """Per-click welfare price of each winner: the CTR-difference-weighted
-    sum of the values ranked below, p_i = sum_{j=i+1..s+1} (x_{j-1}-x_j) v_j / x_i.
-    `reports` (rank-sorted) replace the true values when given."""
-    if reports is None:
-        vals = inst.values
-    else:
-        vals = _as_fraction_tuple(reports)
-
-    def val(rank):
-        return vals[rank - 1] if 1 <= rank <= len(vals) else Fraction(0)
-
-    winners = min(inst.s, len(vals))
-    payments = []
-    for i in range(1, winners + 1):
-        total = Fraction(0)
-        for j in range(i + 1, inst.s + 2):
-            total += (inst.ctr(j - 1) - inst.ctr(j)) * val(j)
-        payments.append(total / inst.ctr(i))
-    return tuple(payments)
+    """Per-click welfare price of each winner (`welfare_prices`).  `reports`
+    (rank-sorted) replace the true values when given."""
+    vals = inst.values if reports is None else _as_fraction_tuple(reports)
+    return welfare_prices(inst.ctrs, vals)
 
 
 def vcg_payments_recursive(inst: AuctionInstance) -> tuple:
-    """Independent route to the same prices: bottom-up averaging
+    """Independent route to the prices of `welfare_prices` (its oracle):
+    bottom-up averaging
     b_{s+1} = v_{s+1}, b_i = (1-x_i/x_{i-1}) v_i + (x_i/x_{i-1}) b_{i+1},
     then p_j = b_{j+1}.  (Peeling one term off the direct sum shows the drop
     share of x_{i-1} carries v_i and the rest carries the previous price.)"""
@@ -183,21 +189,18 @@ def _boundary_bids(inst: AuctionInstance, upper: bool) -> tuple:
     """
     inst.require_competition()
     s = inst.s
-    shift = 1 if upper else 0  # UE averages the values one rank higher
-    bids = {}
-    acc = Fraction(0)  # running sum of the recursion's tail terms
-    for i in range(s + 1, 1, -1):
-        acc += inst.value(i - shift) * (inst.ctr(i - 1) - inst.ctr(i))
-        bids[i] = acc / inst.ctr(i - 1)
+    # b_i x_{i-1} is the welfare-price sum of rank i-1; UE attaches v_{j-1}
+    # to rank j, so the values shift down one rank
+    values = inst.values[:1] + inst.values if upper else inst.values
+    tail = welfare_prices(inst.ctrs, values)  # b_2 .. b_{s+1}
     top = inst.value(1)
-    if top <= bids[2]:
-        top = 2 * bids[2]
-    bids[1] = top
-    out = [bids[i] for i in range(1, s + 2)]
+    if top <= tail[0]:
+        top = 2 * tail[0]
+    out = [top, *tail]
     if inst.n > s + 1:
         scale = Fraction(1)
-        if inst.value(s + 2) >= bids[s + 1]:
-            scale = bids[s + 1] / (2 * inst.value(s + 2))
+        if inst.value(s + 2) >= tail[-1]:
+            scale = tail[-1] / (2 * inst.value(s + 2))
         out.extend(scale * inst.value(i) for i in range(s + 2, inst.n + 1))
     if not _strictly_decreasing(out):
         raise AssertionError("boundary bid construction lost strict order")
@@ -246,30 +249,6 @@ def verify_symmetric_ne(inst: AuctionInstance, bids: Sequence) -> bool:
 # per target rank j (see `_deviation_thresholds`).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairContext:
-    """Diagnostics for a target pair (k, j): the slot-(j-1) CTR drop `a`,
-    normalised CTR-difference weights, rank distance h = j-1-k and value gap
-    z = v_k - v_{j-1}."""
-
-    a: Fraction
-    weights: tuple
-    h: int
-    z: Fraction
-
-
-def pair_context(inst: AuctionInstance, k: int, j: int) -> PairContext:
-    _check_pair(inst, k, j)
-    a = inst.ctr(j - 1) - inst.ctr(j)
-    if j <= inst.s:
-        xj = inst.ctr(j)
-        weights = tuple((inst.ctr(i - 1) - inst.ctr(i)) / xj
-                        for i in range(j + 1, inst.s + 2))
-    else:
-        weights = ()
-    return PairContext(a, weights, j - 1 - k, inst.value(k) - inst.value(j - 1))
-
-
 def _check_pair(inst: AuctionInstance, k: int, j: int) -> None:
     if not (1 <= k < j <= inst.s + 1):
         raise InputError(f"pair ({k},{j}) out of range for s={inst.s}")
@@ -303,12 +282,6 @@ def pair_gain(inst: AuctionInstance, eq: str, k: int, j: int) -> Fraction:
         tail = acc / inst.ctr(j)
     gain = a * (_value_for(inst, eq, j) - tail) - loss
     return gain
-
-
-def le_utility_delta(inst: AuctionInstance, k: int, j: int, eps) -> Fraction:
-    """u(k) - u'(k) for the pair move at the lower equilibrium when j shades
-    to (next bid + eps); the optimal move is eps = 0."""
-    return -pair_gain(inst, LE, k, j) + Fraction(eps) * inst.ctr(j - 1)
 
 
 def le_pair_deviates(inst: AuctionInstance, k: int, j: int) -> bool:
@@ -556,15 +529,17 @@ def exhaustive_bid_search(inst: AuctionInstance, bids: Sequence,
     """Scan all grid rebids of the coalition for a joint deviation, judged by
     exact GSP utilities against the starting profile.  Tied candidate
     profiles are skipped (generic-profile assumption).  Returns the first
-    witnessing bid vector or None."""
+    witnessing bid vector or None; raises BudgetExceededError up front when
+    the grid^|members| joint rebids exceed the search budget."""
     if kind not in ("weak", "strict"):
         raise InputError("kind must be 'weak' or 'strict'")
     bids = _as_fraction_tuple(bids)
     base = gsp_outcome(inst, bids)
     members = tuple(members)
+    grid = bid_grid(inst, bids, refine)
+    check_budget(len(grid) ** len(members))
     indices = [rank - 1 for rank in members]
     others = [bids[i] for i in range(inst.n) if i not in set(indices)]
-    grid = bid_grid(inst, bids, refine)
     strict = kind == "strict"
     work = list(bids)
     for combo in itertools.product(grid, repeat=len(indices)):

@@ -45,6 +45,15 @@ def search_budget(budget: Optional[int] = None) -> Optional[int]:
     return DEFAULT_SEARCH_BUDGET
 
 
+def check_budget(space: int, budget: Optional[int] = None) -> None:
+    """Raise BudgetExceededError when a search over `space` joint actions
+    would exceed the effective budget; every exhaustive search calls this
+    before it starts."""
+    limit = search_budget(budget)
+    if limit is not None and space > limit:
+        raise BudgetExceededError(space, limit)
+
+
 @dataclass(frozen=True)
 class FiniteGame:
     """A normal-form game given by an exact utility oracle.
@@ -200,10 +209,7 @@ def find_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
         raise InputError(f"kind must be one of {_KINDS}")
     profile = game.validate_profile(profile)
     members = game.validate_coalition(coalition)
-    space = joint_action_space(game, members)
-    limit = search_budget(budget)
-    if limit is not None and space > limit:
-        raise BudgetExceededError(space, limit)
+    check_budget(joint_action_space(game, members), budget)
     if game.deviation_search_factory is not None:
         return game.deviation_search_factory(members, profile, kind)()
     return _generic_search(game, members, profile, kind)

@@ -16,13 +16,15 @@ piece contributes its length times its midpoint value.
 """
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .auction import AuctionInstance
+from .auction import AuctionInstance, welfare_prices
 from .errors import ContractWarning, InputError
+from .games import check_budget
 
 FILTERED = "filtered"
 CLAMPED = "clamped"
@@ -116,25 +118,15 @@ def reserve_vcg(inst: AuctionInstance, c, mode: str = FILTERED,
     reports, order = _ranked_reports(inst, reports)
     survivors = [i for i in order if reports[i] >= c]
     winners = survivors[:min(inst.s, len(survivors))]
-
-    def ranked_value(rank: int) -> Fraction:
-        if mode == FILTERED:
-            if rank <= len(survivors):
-                return reports[survivors[rank - 1]] - c
-            return Fraction(0)
-        # clamped route: the reserve also stands in for empty ranks, exactly
-        # as the seller's outside option does in the filtered route
-        if rank <= len(order):
-            return max(reports[order[rank - 1]], c)
-        return c
-
-    offset = c if mode == FILTERED else Fraction(0)
-    payments = []
-    for i in range(1, len(winners) + 1):
-        total = Fraction(0)
-        for j in range(i + 1, inst.s + 2):
-            total += (inst.ctr(j - 1) - inst.ctr(j)) * ranked_value(j)
-        payments.append(offset + total / inst.ctr(i))
+    if mode == FILTERED:
+        shifted = [reports[i] - c for i in survivors]
+        payments = [c + p for p in welfare_prices(inst.ctrs, shifted)]
+    else:
+        # the reserve also stands in for empty ranks, exactly as the seller's
+        # outside option does in the filtered route
+        clamped = [max(reports[i], c) for i in order]
+        clamped += [c] * (inst.s + 1 - len(clamped))
+        payments = welfare_prices(inst.ctrs, clamped)[:len(winners)]
     utilities = [Fraction(0)] * inst.n
     for slot, bidder in enumerate(winners, start=1):
         utilities[bidder] = (inst.values[bidder] - payments[slot - 1]) * inst.ctr(slot)
@@ -153,10 +145,6 @@ def _reserve_breakpoints(reports, v_max: Fraction) -> list:
     return sorted(points)
 
 
-def _utilities_at(inst: AuctionInstance, reports, c: Fraction) -> tuple:
-    return reserve_vcg(inst, c, FILTERED, reports).utilities
-
-
 def expected_utilities_vcg_star(inst: AuctionInstance, cfg: VcgStarConfig,
                                 reports: Optional[Sequence] = None) -> tuple:
     """Exact expected utility of every bidder under the randomised reserve.
@@ -169,25 +157,18 @@ def expected_utilities_vcg_star(inst: AuctionInstance, cfg: VcgStarConfig,
     if any(r >= v_max for r in reports):
         raise InputError("every report must stay below v_max")
     q = cfg.q_reserve
-    base = _utilities_at(inst, reports, Fraction(0))
+    base = reserve_vcg(inst, 0, FILTERED, reports).utilities
     if q == 0:
         return base
     acc = [Fraction(0)] * inst.n
     points = _reserve_breakpoints(reports, v_max)
     for lo, hi in zip(points, points[1:]):
         mid = (lo + hi) / 2
-        piece = _utilities_at(inst, reports, mid)
+        piece = reserve_vcg(inst, mid, FILTERED, reports).utilities
         width = hi - lo
         for i in range(inst.n):
             acc[i] += width * piece[i]
     return tuple((1 - q) * base[i] + q * acc[i] / v_max for i in range(inst.n))
-
-
-def expected_utility_vcg_star(inst: AuctionInstance, cfg: VcgStarConfig,
-                              reports: Optional[Sequence], agent: int) -> Fraction:
-    if not 0 <= agent < inst.n:
-        raise InputError(f"agent {agent} out of range")
-    return expected_utilities_vcg_star(inst, cfg, reports)[agent]
 
 
 @dataclass(frozen=True)
@@ -299,7 +280,9 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
 
     Certification is meaningful only with at least as many slots as bidders;
     with fewer slots the first loser is a free indifferent member and a
-    deviation is expected (a ContractWarning flags that regime).
+    deviation is expected (a ContractWarning flags that regime).  Raises
+    BudgetExceededError up front when the searched space (the sum over
+    coalitions of their grid sizes' product) exceeds the search budget.
     """
     if inst.s < inst.n:
         warnings.warn("certification requires at least as many slots as "
@@ -308,8 +291,11 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
     if max_coalition is None:
         max_coalition = inst.n if inst.n <= 4 else 4
     v_max = cfg.resolved_v_max(inst)
-    truthful = expected_utilities_vcg_star(inst, cfg, None)
     grids = [misreport_grid(inst, i, refine, v_max) for i in range(inst.n)]
+    check_budget(sum(math.prod(len(grids[i]) for i in members)
+                     for size in range(1, max_coalition + 1)
+                     for members in itertools.combinations(range(inst.n), size)))
+    truthful = expected_utilities_vcg_star(inst, cfg, None)
     values = list(inst.values)
     checked = 0
     q = cfg.q_reserve
@@ -377,17 +363,7 @@ def vcg_star_lambda(inst: AuctionInstance, cfg: LambdaConfig) -> LambdaExtension
     if not (shrunk > synthetic > 0):
         raise AssertionError("lambda below 1/n must preserve slot order")
     extended = inst.ctrs[:-1] + (shrunk,) + (synthetic,) * extra
-
-    def ctr(slot: int) -> Fraction:
-        return extended[slot - 1] if 1 <= slot <= inst.n else Fraction(0)
-
-    payments = []
-    for i in range(1, inst.n + 1):
-        total = Fraction(0)
-        for j in range(i + 1, inst.n + 2):
-            total += (ctr(j - 1) - ctr(j)) * inst.value(j)
-        payments.append(total / ctr(i))
-    return LambdaExtension(extended, tuple(payments))
+    return LambdaExtension(extended, welfare_prices(extended, inst.values))
 
 
 def lambda_payment_gap_bound(inst: AuctionInstance, cfg: LambdaConfig) -> Fraction:

@@ -295,23 +295,24 @@ def count_pair_deviations(inst: SrsgInstance, assignment: Sequence,
     raise InputError("method must be 'structural' or 'bruteforce'")
 
 
-def expected_pair_deviations(inst: SrsgInstance, form: str = "exact_beta"):
-    """Expected number of strictly deviating pairs at a random equilibrium.
+def expected_pair_deviations(inst: SrsgInstance, form: str = "collision"):
+    """Approximate expected number of strictly deviating pairs at a random
+    equilibrium (`exact_expected_pair_deviations` is the exact expectation).
 
-    Treats each pair's chance of landing on an overfull shared resource as
-    q/m^2 per step, independent across steps.  "exact_beta" evaluates the
-    resulting two-of-k binomial tail exactly; "exponential_approx" is the
-    closed-form Poisson-style approximation with rate q(k-1)/m^2.
+    "collision" treats each pair's chance of landing on an overfull shared
+    resource as q/m^2 per step, independent across steps, and evaluates the
+    resulting two-of-k binomial tail in exact rationals; "exponential_approx"
+    is the closed-form Poisson-style approximation with rate q(k-1)/m^2.
     """
     pairs = comb(inst.n, 2)
-    if form == "exact_beta":
+    if form == "collision":
         alpha = Fraction(inst.q, inst.m ** 2)
         beta = (1 - alpha) ** inst.k + inst.k * alpha * (1 - alpha) ** (inst.k - 1)
         return pairs * (1 - beta)
     if form == "exponential_approx":
         alpha = inst.q * (inst.k - 1) / inst.m ** 2
         return pairs * (1.0 - (1.0 + alpha) * exp(-alpha))
-    raise InputError("form must be 'exact_beta' or 'exponential_approx'")
+    raise InputError("form must be 'collision' or 'exponential_approx'")
 
 
 def per_step_full_share_probability(inst: SrsgInstance) -> Fraction:

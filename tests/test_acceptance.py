@@ -105,7 +105,7 @@ def test_c04_random_equilibrium_pair_count_expectation(m, n, k):
     inst = srsg.SrsgInstance(m, n, k, srsg.CostFn.linear(n))
     counts = srsg.sample_pair_deviation_counts(inst, 10_000, 42)
     mean = sum(counts) / len(counts)
-    collision_form = float(srsg.expected_pair_deviations(inst, "exact_beta"))
+    collision_form = float(srsg.expected_pair_deviations(inst, "collision"))
     assert abs(mean - collision_form) / collision_form < 0.15
     mu = float(srsg.exact_expected_pair_deviations(inst))
     var = sum((c - mean) ** 2 for c in counts) / (len(counts) - 1)
@@ -139,7 +139,7 @@ def test_c06_pair_move_formula_equals_simulation():
             for j in range(k + 1, s + 2):
                 before = outcome.utilities[k - 1]
                 after = auction.simulate_pair_deviation(inst, "le", k, j, 0)
-                assert auction.le_utility_delta(inst, k, j, 0) == before - after
+                assert auction.pair_gain(inst, "le", k, j) == after - before
     report("c06 closed-form pair gain = simulated gain on every pair",
            time.monotonic() - start, 30)
 

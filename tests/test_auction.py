@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalstab import auction
-from coalstab.errors import ContractError, InputError, TieError
+from coalstab.errors import BudgetExceededError, ContractError, InputError, TieError
 from conftest import random_auction
 
 
@@ -39,11 +39,17 @@ class TestPayments:
         low = auction.AuctionInstance(2, (9, 5), (3, 1))
         assert auction.vcg_payments(low)[-1] == 0
 
+    def test_kernel_reads_zero_past_short_value_lists(self):
+        # s = 3 with tied lower CTRs and two values: v_3 = v_4 = 0
+        assert auction.welfare_prices((4, 2, 2), (9, 7)) == (Fraction(7, 2), 0)
+        assert auction.welfare_prices((4, 2, 2), ()) == ()
+
     def test_recursion_equals_direct_form(self):
+        # n runs from 2 to 2s+2, so n <= s (fewer bidders than slots) is drawn
         rng = random.Random(1)
         for _ in range(100):
             s = rng.randrange(1, 12)
-            inst = random_auction(rng, s, 2 * s)
+            inst = random_auction(rng, s, rng.randrange(2, 2 * s + 3))
             assert auction.vcg_payments(inst) == auction.vcg_payments_recursive(inst)
 
     def test_misreports_change_prices_not_values(self, tiny):
@@ -139,12 +145,7 @@ class TestPairPredicates:
                 for j in range(k + 1, s + 2):
                     before = outcome.utilities[k - 1]
                     after = auction.simulate_pair_deviation(inst, "le", k, j)
-                    assert auction.le_utility_delta(inst, k, j, 0) == before - after
-
-    def test_delta_with_margin_matches_affine_form(self, tiny):
-        base = auction.le_utility_delta(tiny, 1, 2, 0)
-        assert auction.le_utility_delta(tiny, 1, 2, Fraction(1, 2)) == \
-            base + Fraction(1, 2) * tiny.ctr(1)
+                    assert auction.pair_gain(inst, "le", k, j) == after - before
 
     def test_two_apart_pairs_deviate_at_upper(self):
         rng = random.Random(7)
@@ -173,19 +174,15 @@ class TestPairPredicates:
             auction.le_pair_deviates(tiny, 1, 5)
 
     def test_context_weights_average_inside_value_range(self):
+        # the CTR-difference weights (x_{i-1}-x_i)/x_j, i > j, sum to 1, and
+        # their average of the values below rank j is rank j's welfare price
         rng = random.Random(9)
         for _ in range(20):
             s = rng.randrange(3, 9)
             inst = random_auction(rng, s, 2 * s)
-            for (k, j) in [(1, 3), (2, s), (1, s + 1)]:
-                if j > s + 1 or k >= j:
-                    continue
-                ctx = auction.pair_context(inst, k, j)
-                assert ctx.a > 0
-                if ctx.weights:
-                    avg = sum(w * inst.value(i)
-                              for w, i in zip(ctx.weights, range(j + 1, inst.s + 2)))
-                    assert inst.value(inst.s + 1) <= avg <= inst.value(j + 1)
+            prices = auction.vcg_payments(inst)
+            for j in (3, s):
+                assert inst.value(s + 1) <= prices[j - 1] <= inst.value(j + 1)
 
 
 class TestPairCounts:
@@ -357,6 +354,16 @@ class TestGridSearch:
         base = auction.gsp_outcome(low_bid, bids).utilities
         moved = auction.gsp_outcome(low_bid, (50, bids[1], Fraction(1, 3))).utilities
         assert moved[0] > base[0] and moved[2] == base[2]
+
+    def test_budget_caps_the_joint_grid(self, low_bid, monkeypatch):
+        bids = auction.le_bids(low_bid)
+        grid = auction.bid_grid(low_bid, bids, 4)
+        monkeypatch.setenv("COALSTAB_BUDGET", str(len(grid) ** 2 - 1))
+        with pytest.raises(BudgetExceededError) as info:
+            auction.exhaustive_bid_search(low_bid, bids, (1, 2), "weak", 4)
+        assert info.value.required == len(grid) ** 2
+        monkeypatch.setenv("COALSTAB_BUDGET", str(len(grid) ** 2))
+        assert auction.exhaustive_bid_search(low_bid, bids, (1, 2), "weak", 4)
 
     @pytest.mark.xfail(strict=True, reason="bid_grid's lowest point is 43/8; "
                        "the deviation needs bidder 3 below 1/2")

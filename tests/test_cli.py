@@ -130,6 +130,14 @@ class TestReserveCommand:
         report = json.loads(out)
         assert len(report["extended_ctrs"]) == 4
 
+    def test_budget_env_caps_the_certification_search(self, monkeypatch, capsys):
+        monkeypatch.setenv("COALSTAB_BUDGET", "10")
+        code, _, err = run_cli(capsys, "reserve", "--s", "3", "--n", "3",
+                               "--v", "6,4,2", "--x", "4,2,1",
+                               "--check-sse", "--q-reserve", "1/2")
+        assert code == 3
+        assert json.loads(err.strip())["error"] == "budget exceeded"
+
 
 class TestSweepCommand:
     def test_resource_game_sweep_matches_closed_form(self, capsys):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -5,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coalstab import auction, reserve
-from coalstab.errors import ContractWarning, InputError
+from coalstab.errors import BudgetExceededError, ContractWarning, InputError
 from conftest import random_auction
 
 
@@ -103,13 +105,6 @@ class TestExpectedUtilities:
         with pytest.raises(InputError):
             reserve.expected_utilities_vcg_star(square, cfg)
 
-    def test_single_agent_accessor_matches_vector(self, square):
-        cfg = reserve.VcgStarConfig(Fraction(1, 3))
-        vec = reserve.expected_utilities_vcg_star(square, cfg)
-        for agent in range(square.n):
-            assert reserve.expected_utility_vcg_star(square, cfg, None, agent) \
-                == vec[agent]
-
     def test_report_carries_sorted_breakpoints(self, square):
         cfg = reserve.VcgStarConfig(Fraction(1, 2), 12)
         report = reserve.expected_utility_report(square, cfg)
@@ -161,6 +156,20 @@ class TestTruthTellingSearch:
             for agent in range(n):
                 assert reserve._lean_expected_utility(
                     inst, q, v_max, reports, ranked, points, agent) == public[agent]
+
+    def test_budget_caps_the_searched_space(self, square, monkeypatch):
+        cfg = reserve.VcgStarConfig(Fraction(1, 2))
+        sizes = [len(reserve.misreport_grid(square, i)) for i in range(square.n)]
+        space = sum(math.prod(sizes[i] for i in members)
+                    for r in range(1, square.n + 1)
+                    for members in itertools.combinations(range(square.n), r))
+        monkeypatch.setenv("COALSTAB_BUDGET", str(space - 1))
+        with pytest.raises(BudgetExceededError) as info:
+            reserve.check_truthful_sse(square, cfg)
+        assert info.value.required == space
+        monkeypatch.setenv("COALSTAB_BUDGET", str(space))
+        verdict = reserve.check_truthful_sse(square, cfg)
+        assert verdict.certified and verdict.combos_checked <= space
 
     def test_no_single_agent_grid_misreport_helps(self, square):
         cfg = reserve.VcgStarConfig(Fraction(1, 2))

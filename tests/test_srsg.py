@@ -195,13 +195,18 @@ class TestExpectedCounts:
         # probability; their small tails only align once k grows
         pairs = math.comb(55, 2)
         inst = srsg.SrsgInstance(10, 55, 3, srsg.CostFn.linear(55))
-        exact = float(srsg.expected_pair_deviations(inst))
+        collision = float(srsg.expected_pair_deviations(inst, "collision"))
         approx = srsg.expected_pair_deviations(inst, "exponential_approx")
-        assert 1 - approx / pairs == pytest.approx(1 - exact / pairs, rel=0.01)
+        assert 1 - approx / pairs == pytest.approx(1 - collision / pairs, rel=0.01)
         longer = srsg.SrsgInstance(10, 55, 25, srsg.CostFn.linear(55))
-        exact = float(srsg.expected_pair_deviations(longer))
+        collision = float(srsg.expected_pair_deviations(longer))
         approx = srsg.expected_pair_deviations(longer, "exponential_approx")
-        assert approx == pytest.approx(exact, rel=0.10)
+        assert approx == pytest.approx(collision, rel=0.10)
+
+    def test_collision_form_has_no_old_alias(self):
+        inst = srsg.SrsgInstance(2, 3, 2, srsg.CostFn.linear(3))
+        with pytest.raises(InputError):
+            srsg.expected_pair_deviations(inst, "exact_beta")
 
     def test_exact_per_pair_expectation_matches_simulation(self):
         inst = srsg.SrsgInstance(4, 9, 3, srsg.CostFn.linear(9))
