@@ -18,7 +18,7 @@ from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import ContractError, InputError, TieError
-from .games import check_budget
+from .games import WEAK, check_budget, check_kind, first_deviation, rebids
 
 LE = "le"
 UE = "ue"
@@ -284,20 +284,13 @@ def pair_gain(inst: AuctionInstance, eq: str, k: int, j: int) -> Fraction:
     return gain
 
 
-def le_pair_deviates(inst: AuctionInstance, k: int, j: int) -> bool:
+def pair_deviates(inst: AuctionInstance, eq: str, k: int, j: int) -> bool:
     """Neighbour pairs always have a (weak) deviation; distant pairs deviate
     exactly when the forfeited margin is strictly outweighed."""
+    if eq not in _EQUILIBRIA:
+        raise InputError(f"equilibrium must be one of {_EQUILIBRIA}")
     _check_pair(inst, k, j)
-    if j == k + 1:
-        return True
-    return pair_gain(inst, LE, k, j) > 0
-
-
-def ue_pair_deviates(inst: AuctionInstance, k: int, j: int) -> bool:
-    _check_pair(inst, k, j)
-    if j == k + 1:
-        return True
-    return pair_gain(inst, UE, k, j) > 0
+    return j == k + 1 or pair_gain(inst, eq, k, j) > 0
 
 
 def simulate_pair_deviation(inst: AuctionInstance, eq: str, k: int, j: int,
@@ -473,12 +466,9 @@ def coalition_deviates(inst: AuctionInstance, eq: str, members: Sequence) -> boo
     members = tuple(members)
     if not is_potential_coalition(members, inst.s, inst.n):
         raise ContractError("only potential coalitions are counted")
-    predicate = le_pair_deviates if eq == LE else ue_pair_deviates
     eligible = [r for r in members if r <= inst.s + 1]
-    for k, j in itertools.combinations(eligible, 2):
-        if predicate(inst, k, j):
-            return True
-    return False
+    return any(pair_deviates(inst, eq, k, j)
+               for k, j in itertools.combinations(eligible, 2))
 
 
 def count_coalition_deviations(inst: AuctionInstance, eq: str, r: int) -> int:
@@ -523,50 +513,38 @@ def bid_grid(inst: AuctionInstance, bids: Sequence, refine: int = 4) -> tuple:
     return tuple(sorted(points))
 
 
+def untied_joints(joints, profile: Sequence, positions: Sequence):
+    """The joint rebids whose entries tie neither each other nor an
+    outsider's entry of `profile` (generic-profile assumption)."""
+    member_set = set(positions)
+    others = {b for i, b in enumerate(profile) if i not in member_set}
+    for joint in joints:
+        if len(set(joint)) == len(joint) and others.isdisjoint(joint):
+            yield joint
+
+
 def exhaustive_bid_search(inst: AuctionInstance, bids: Sequence,
-                          members: Sequence, kind: str = "weak",
+                          members: Sequence, kind: str = WEAK,
                           refine: int = 4):
     """Scan all grid rebids of the coalition for a joint deviation, judged by
     exact GSP utilities against the starting profile.  Tied candidate
     profiles are skipped (generic-profile assumption).  Returns the first
     witnessing bid vector or None; raises BudgetExceededError up front when
     the grid^|members| joint rebids exceed the search budget."""
-    if kind not in ("weak", "strict"):
-        raise InputError("kind must be 'weak' or 'strict'")
+    check_kind(kind)
     bids = _as_fraction_tuple(bids)
-    base = gsp_outcome(inst, bids)
-    members = tuple(members)
-    grid = bid_grid(inst, bids, refine)
-    check_budget(len(grid) ** len(members))
+    base = gsp_outcome(inst, bids).utilities
     indices = [rank - 1 for rank in members]
-    others = [bids[i] for i in range(inst.n) if i not in set(indices)]
-    strict = kind == "strict"
-    work = list(bids)
-    for combo in itertools.product(grid, repeat=len(indices)):
-        if len(set(combo)) != len(combo):
-            continue
-        if any(c in others for c in combo):
-            continue
-        for i, b in zip(indices, combo):
-            work[i] = b
-        outcome = gsp_outcome(inst, work)
-        ok = True
-        improved = False
-        for i in indices:
-            new, old = outcome.utilities[i], base.utilities[i]
-            if strict:
-                if not new > old:
-                    ok = False
-                    break
-            else:
-                if new < old:
-                    ok = False
-                    break
-                if new > old:
-                    improved = True
-        if ok and (strict or improved):
-            return tuple(work)
-    return None
+    grid = bid_grid(inst, bids, refine)
+    check_budget(len(grid) ** len(indices))
+    joints = untied_joints(itertools.product(grid, repeat=len(indices)),
+                           bids, indices)
+    # GSP runs once per candidate; the scan reads members' utilities off it
+    candidates = ((work, gsp_outcome(inst, work).utilities)
+                  for work in rebids(bids, indices, joints))
+    found = first_deviation(candidates, indices, [base[i] for i in indices],
+                            lambda i, candidate: candidate[1][i], kind)
+    return None if found is None else found[0]
 
 
 # ---------------------------------------------------------------------------

@@ -193,18 +193,14 @@ def cmd_auction(args) -> int:
     inst = build_instance(args)
     table = ResultTable(("eq", "s", "r", "count", "potential", "ratio"),
                         provenance=_provenance(args, "auction"))
-    if args.count_pairs:
-        r = 2
-        if args.eq == "vcg":
-            count = auction.count_vcg_coalition_deviations(inst, r)
-        else:
-            count = auction.count_pair_deviations(inst, args.eq)
-        m_r = auction.potential_count(inst.s, r)
-        table.append(args.eq, inst.s, r, count, m_r, count / m_r)
+    sizes = [2] if args.count_pairs else []
     if args.count_coalitions:
-        r = args.count_coalitions
+        sizes.append(args.count_coalitions)
+    for r in sizes:
         if args.eq == "vcg":
             count = auction.count_vcg_coalition_deviations(inst, r)
+        elif r == 2:  # size-2 potential coalitions are exactly the pairs
+            count = auction.count_pair_deviations(inst, args.eq)
         else:
             count = auction.count_coalition_deviations(inst, args.eq, r)
         m_r = auction.potential_count(inst.s, r)
@@ -223,6 +219,7 @@ def cmd_auction(args) -> int:
 def cmd_reserve(args) -> int:
     inst = build_instance(args)
     report = {"provenance": _provenance(args, "reserve"), "mode": args.mode}
+    cut = None
     if args.mode == "fixed":
         out_f = reserve.reserve_vcg(inst, args.c, reserve.FILTERED)
         out_c = reserve.reserve_vcg(inst, args.c, reserve.CLAMPED)
@@ -246,15 +243,23 @@ def cmd_reserve(args) -> int:
             report["expected_utilities"] = [games.rational_to_str(u)
                                             for u in expected]
         if args.check_sse:
-            verdict = reserve.check_truthful_sse(inst, cfg, args.grid_refine)
-            if verdict.certified:
-                report["sse_verdict"] = "certified_no_deviation_on_grid"
+            try:
+                verdict = reserve.check_truthful_sse(inst, cfg, args.grid_refine)
+            except BudgetExceededError as exc:
+                cut = exc
+                report["provenance"]["truncated"] = f"sse check: budget exceeded: {exc}"
             else:
-                report["sse_verdict"] = "deviation_found"
-                report["deviating_members"] = list(verdict.members)
-                report["deviating_reports"] = [games.rational_to_str(r)
-                                               for r in verdict.reports]
+                if verdict.certified:
+                    report["sse_verdict"] = "certified_no_deviation_on_grid"
+                else:
+                    report["sse_verdict"] = "deviation_found"
+                    report["deviating_members"] = list(verdict.members)
+                    report["deviating_reports"] = [games.rational_to_str(r)
+                                                   for r in verdict.reports]
     _write_output(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+    if cut is not None:
+        _error_record("budget exceeded", {"detail": cut})
+        return 3
     return 0
 
 

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, InputError
@@ -52,6 +52,12 @@ def check_budget(space: int, budget: Optional[int] = None) -> None:
     limit = search_budget(budget)
     if limit is not None and space > limit:
         raise BudgetExceededError(space, limit)
+
+
+def check_kind(kind: str) -> None:
+    """Raise InputError unless `kind` is STRICT or WEAK."""
+    if kind not in _KINDS:
+        raise InputError(f"kind must be one of {_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,7 @@ class ScoreVector:
     player_count: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InputError(f"kind must be one of {_KINDS}")
+        check_kind(self.kind)
         counts = tuple(self.counts)
         object.__setattr__(self, "counts", counts)
         if len(counts) > self.player_count:
@@ -155,45 +160,47 @@ class Classification:
     is_pareto_efficient: bool
 
 
-def _generic_search(game: FiniteGame, members: Coalition, profile: Profile,
-                    kind: str):
-    """Plain product scan driven by the utility oracle."""
-    utility = game.utility
-    base = [utility(i, profile) for i in members]
-    work = list(profile)
-    positions = list(members)
+def first_deviation(profiles: Iterable, members: Sequence, base: Sequence,
+                    utility: Callable, kind: str):
+    """The one definition of a deviation: the first of `profiles` at which
+    no member's `utility(i, profile)` falls below its entry of `base` and
+    every member gains (strict) or at least one does (weak); None when no
+    candidate qualifies.  A candidate is dropped at its first failing member,
+    so later members' utilities are never computed for it."""
+    check_kind(kind)
     strict = kind == STRICT
-    ranges = [range(game.action_counts[i]) for i in members]
-    # every member slot of `work` is overwritten per candidate, so the joint
-    # assignment left behind by the previous candidate never leaks through
-    for joint in itertools.product(*ranges):
-        for pos, a in zip(positions, joint):
-            work[pos] = a
-        prof = tuple(work)
+    for profile in profiles:
         improved = False
-        ok = True
-        for i, old in zip(positions, base):
-            new = utility(i, prof)
-            if strict:
-                if not new > old:
-                    ok = False
-                    break
-            else:
-                if new < old:
-                    ok = False
-                    break
-                if new > old:
-                    improved = True
-        if ok and (strict or improved):
-            return joint
+        for i, old in zip(members, base):
+            new = utility(i, profile)
+            if new > old:
+                improved = True
+            elif strict or new < old:
+                break
+        else:
+            if improved:
+                return profile
     return None
 
 
-def joint_action_space(game: FiniteGame, members: Coalition) -> int:
-    size = 1
-    for i in members:
-        size *= game.action_counts[i]
-    return size
+def rebids(profile: Sequence, positions: Sequence, joints: Iterable):
+    """`profile` as a tuple with each joint action of `joints` written into
+    `positions`, one tuple per joint."""
+    work = list(profile)
+    for joint in joints:
+        for pos, a in zip(positions, joint):
+            work[pos] = a
+        yield tuple(work)
+
+
+def _generic_search(game: FiniteGame, members: Coalition, profile: Profile,
+                    kind: str):
+    """Plain product scan driven by the utility oracle."""
+    base = [game.utility(i, profile) for i in members]
+    joints = itertools.product(*(range(game.action_counts[i]) for i in members))
+    found = first_deviation(rebids(profile, members, joints), members, base,
+                            game.utility, kind)
+    return None if found is None else tuple(found[i] for i in members)
 
 
 def find_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
@@ -205,11 +212,10 @@ def find_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
     Raises BudgetExceededError when the joint action space is larger than the
     effective budget; that outcome is deliberately distinct from None.
     """
-    if kind not in _KINDS:
-        raise InputError(f"kind must be one of {_KINDS}")
+    check_kind(kind)
     profile = game.validate_profile(profile)
     members = game.validate_coalition(coalition)
-    check_budget(joint_action_space(game, members), budget)
+    check_budget(prod(game.action_counts[i] for i in members), budget)
     if game.deviation_search_factory is not None:
         return game.deviation_search_factory(members, profile, kind)()
     return _generic_search(game, members, profile, kind)
@@ -218,11 +224,6 @@ def find_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
 def has_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
                   kind: str = STRICT, budget: Optional[int] = None) -> bool:
     return find_deviation(game, profile, coalition, kind, budget) is not None
-
-
-def iter_coalitions(n: int, r: int):
-    """All size-r coalitions of players 0..n-1 in lexicographic order."""
-    return itertools.combinations(range(n), r)
 
 
 def score_vector(game: FiniteGame, profile: Sequence, kind: str = STRICT,
@@ -246,7 +247,7 @@ def score_vector(game: FiniteGame, profile: Sequence, kind: str = STRICT,
     try:
         for r in range(1, r_max + 1):
             hits = 0
-            for members in iter_coalitions(n, r):
+            for members in itertools.combinations(range(n), r):
                 if has_deviation(game, profile, members, kind, budget):
                     hits += 1
             counts.append(hits)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .auction import AuctionInstance, welfare_prices
+from .auction import AuctionInstance, untied_joints, welfare_prices
 from .errors import ContractWarning, InputError
-from .games import check_budget
+from .games import WEAK, check_budget, first_deviation, rebids
 
 FILTERED = "filtered"
 CLAMPED = "clamped"
@@ -171,27 +171,6 @@ def expected_utilities_vcg_star(inst: AuctionInstance, cfg: VcgStarConfig,
     return tuple((1 - q) * base[i] + q * acc[i] / v_max for i in range(inst.n))
 
 
-@dataclass(frozen=True)
-class ExpectedUtilityReport:
-    """Per-agent expected utilities together with the integration breakpoints.
-
-    Between consecutive breakpoints each utility is affine in the reserve, so
-    the midpoint evaluations behind `utilities` are exact."""
-
-    utilities: tuple
-    breakpoints: tuple
-
-
-def expected_utility_report(inst: AuctionInstance, cfg: VcgStarConfig,
-                            reports: Optional[Sequence] = None) -> ExpectedUtilityReport:
-    checked, _ = _ranked_reports(inst, reports)
-    v_max = cfg.resolved_v_max(inst)
-    return ExpectedUtilityReport(
-        expected_utilities_vcg_star(inst, cfg, reports),
-        tuple(_reserve_breakpoints(checked, v_max)),
-    )
-
-
 def misreport_grid(inst: AuctionInstance, agent: int, refine: int = 1,
                    v_max: Optional[Fraction] = None) -> tuple:
     """Candidate misreports for one agent: evenly spaced interior points of
@@ -296,37 +275,28 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
                      for size in range(1, max_coalition + 1)
                      for members in itertools.combinations(range(inst.n), size)))
     truthful = expected_utilities_vcg_star(inst, cfg, None)
-    values = list(inst.values)
+    values = inst.values
     checked = 0
-    q = cfg.q_reserve
+
+    def candidates(members):
+        nonlocal checked
+        joints = untied_joints(itertools.product(*(grids[i] for i in members)),
+                               values, members)
+        for reports in rebids(values, members, joints):
+            checked += 1
+            ranked = sorted(range(inst.n), key=reports.__getitem__, reverse=True)
+            yield reports, ranked, _reserve_breakpoints(reports, v_max)
+
+    def expected(i, candidate):
+        return _lean_expected_utility(inst, cfg.q_reserve, v_max, *candidate, i)
+
     for size in range(1, max_coalition + 1):
         for members in itertools.combinations(range(inst.n), size):
-            member_set = set(members)
-            others = [values[i] for i in range(inst.n) if i not in member_set]
-            for combo in itertools.product(*(grids[i] for i in members)):
-                if len(set(combo)) != size:
-                    continue
-                if any(c in others for c in combo):
-                    continue
-                reports = list(values)
-                for i, rep in zip(members, combo):
-                    reports[i] = rep
-                checked += 1
-                ranked = sorted(range(inst.n), key=reports.__getitem__,
-                                reverse=True)
-                points = _reserve_breakpoints(reports, v_max)
-                improved = False
-                ok = True
-                for i in members:  # most combos die on their first member
-                    expected = _lean_expected_utility(inst, q, v_max, reports,
-                                                      ranked, points, i)
-                    if expected < truthful[i]:
-                        ok = False
-                        break
-                    if expected > truthful[i]:
-                        improved = True
-                if ok and improved:
-                    return SseVerdict(False, members, tuple(reports), checked)
+            found = first_deviation(candidates(members), members,
+                                    [truthful[i] for i in members], expected,
+                                    WEAK)
+            if found is not None:
+                return SseVerdict(False, members, found[0], checked)
     return SseVerdict(True, combos_checked=checked)
 
 

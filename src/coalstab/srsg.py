@@ -306,13 +306,16 @@ def expected_pair_deviations(inst: SrsgInstance, form: str = "collision"):
     """
     pairs = comb(inst.n, 2)
     if form == "collision":
-        alpha = Fraction(inst.q, inst.m ** 2)
-        beta = (1 - alpha) ** inst.k + inst.k * alpha * (1 - alpha) ** (inst.k - 1)
-        return pairs * (1 - beta)
+        return pairs * _two_or_more_of(inst.k, Fraction(inst.q, inst.m ** 2))
     if form == "exponential_approx":
         alpha = inst.q * (inst.k - 1) / inst.m ** 2
         return pairs * (1.0 - (1.0 + alpha) * exp(-alpha))
     raise InputError("form must be 'collision' or 'exponential_approx'")
+
+
+def _two_or_more_of(k: int, p: Fraction) -> Fraction:
+    """Chance of two or more successes in k independent steps of chance p."""
+    return 1 - (1 - p) ** k - k * p * (1 - p) ** (k - 1)
 
 
 def per_step_full_share_probability(inst: SrsgInstance) -> Fraction:
@@ -327,10 +330,8 @@ def exact_expected_pair_deviations(inst: SrsgInstance) -> Fraction:
     Each pair deviates iff it shares an overfull resource in two or more of
     the k independent steps; linearity of expectation does the rest.
     """
-    p = per_step_full_share_probability(inst)
-    k = inst.k
-    none_or_one = (1 - p) ** k + k * p * (1 - p) ** (k - 1)
-    return comb(inst.n, 2) * (1 - none_or_one)
+    return comb(inst.n, 2) * _two_or_more_of(
+        inst.k, per_step_full_share_probability(inst))
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ class ResultTable:
             for idx, cell in enumerate(row):
                 out.append(cell)
                 if idx in rational_cols:
-                    out.append(float(cell) if isinstance(cell, Fraction) else float(cell))
+                    out.append(float(cell))
             rows.append(tuple(out))
         return ResultTable(tuple(columns), rows, dict(self.provenance))
 

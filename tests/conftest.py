@@ -1,8 +1,13 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from coalstab import auction, srsg
+
+# every property test is reproducible and untimed; each sets only max_examples
+settings.register_profile("coalstab", derandomize=True, deadline=None)
+settings.load_profile("coalstab")
 
 # The 4-resource, 6-agent, 2-step instance with unit-slope costs and its three
 # named equilibria: "repeat" keeps the same partition twice, "split" breaks up

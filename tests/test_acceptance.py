@@ -196,14 +196,14 @@ def test_c09_upper_equilibrium_two_apart_pairs():
         inst = auction.make_instance(s, auction.ShapeSpec("linear", 2 * s),
                                      auction.ShapeSpec("linear", s))
         for i in range(1, s):
-            assert auction.ue_pair_deviates(inst, i, i + 2)
+            assert auction.pair_deviates(inst, "ue", i, i + 2)
         assert auction.count_pair_deviations(inst, "ue") >= 2 * s - 1
     rng = random.Random(99)
     for _ in range(10):
         s = rng.randrange(2, 26)
         inst = random_auction(rng, s, 2 * s)
         for i in range(1, s):
-            assert auction.ue_pair_deviates(inst, i, i + 2)
+            assert auction.pair_deviates(inst, "ue", i, i + 2)
         assert auction.count_pair_deviations(inst, "ue") >= 2 * s - 1
     report("c09 upper equilibrium: all two-apart pairs move, count >= 2s-1",
            time.monotonic() - start, 30)

@@ -132,11 +132,16 @@ class TestReserveCommand:
 
     def test_budget_env_caps_the_certification_search(self, monkeypatch, capsys):
         monkeypatch.setenv("COALSTAB_BUDGET", "10")
-        code, _, err = run_cli(capsys, "reserve", "--s", "3", "--n", "3",
-                               "--v", "6,4,2", "--x", "4,2,1",
-                               "--check-sse", "--q-reserve", "1/2")
+        code, out, err = run_cli(capsys, "reserve", "--s", "3", "--n", "3",
+                                 "--v", "6,4,2", "--x", "4,2,1",
+                                 "--check-sse", "--q-reserve", "1/2")
         assert code == 3
         assert json.loads(err.strip())["error"] == "budget exceeded"
+        # the expected utilities were computed before the cut and are kept
+        report = json.loads(out)
+        assert report["expected_utilities"] == ["37/4", "43/12", "13/12"]
+        assert "budget exceeded" in report["provenance"]["truncated"]
+        assert "sse_verdict" not in report
 
 
 class TestSweepCommand:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalstab import games, srsg
 from coalstab.errors import BudgetExceededError, InputError
@@ -85,6 +87,51 @@ class TestFindDeviation:
     def test_validation_errors(self, small_game, profile, coalition):
         with pytest.raises(InputError):
             games.find_deviation(small_game, profile, coalition)
+
+
+class TestFirstDeviation:
+    @settings(max_examples=400)
+    @given(data=st.data(), kind=st.sampled_from((games.STRICT, games.WEAK)))
+    def test_matches_definition_and_stops_at_first_failing_member(self, data, kind):
+        size = data.draw(st.integers(1, 4), label="members")
+        level = st.integers(0, 2)  # three utility levels: ties are frequent
+        row = st.lists(level, min_size=size, max_size=size)
+        base = data.draw(row, label="base")
+        table = data.draw(st.lists(row, max_size=6), label="candidates")
+        calls = []
+
+        def utility(i, candidate):
+            calls.append((candidate, i))
+            return table[candidate][i]
+
+        def fails(new, old):
+            return new <= old if kind == games.STRICT else new < old
+
+        def deviates(utils):
+            if kind == games.STRICT:
+                return all(new > old for new, old in zip(utils, base))
+            return (all(new >= old for new, old in zip(utils, base))
+                    and any(new > old for new, old in zip(utils, base)))
+
+        expected = next((c for c, utils in enumerate(table) if deviates(utils)), None)
+        found = games.first_deviation(range(len(table)), range(size), base,
+                                      utility, kind)
+        assert found == expected
+        scanned = len(table) if expected is None else expected + 1
+        expected_calls = []
+        for c in range(scanned):
+            for i in range(size):
+                expected_calls.append((c, i))
+                if fails(table[c][i], base[i]):
+                    break
+        assert calls == expected_calls
+
+    def test_bad_kind_rejected_before_any_candidate(self):
+        def utility(i, candidate):
+            raise AssertionError("no utility call expected")
+
+        with pytest.raises(InputError):
+            games.first_deviation([(0,)], (0,), (0,), utility, "sideways")
 
 
 class TestScoreVector:

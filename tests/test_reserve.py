@@ -107,17 +107,16 @@ class TestExpectedUtilities:
 
     def test_report_carries_sorted_breakpoints(self, square):
         cfg = reserve.VcgStarConfig(Fraction(1, 2), 12)
-        report = reserve.expected_utility_report(square, cfg)
-        assert report.breakpoints == (0, 2, 4, 6, 12)
-        assert report.utilities == reserve.expected_utilities_vcg_star(square, cfg)
+        assert reserve._reserve_breakpoints(square.values, cfg.resolved_v_max(square)) \
+            == [0, 2, 4, 6, 12]
 
     def test_utility_is_affine_between_breakpoints(self):
         rng = random.Random(77)
         for _ in range(10):
             inst = random_auction(rng, 4, 4)
             cfg = reserve.VcgStarConfig(Fraction(1, 2))
-            report = reserve.expected_utility_report(inst, cfg)
-            for lo, hi in zip(report.breakpoints, report.breakpoints[1:]):
+            points = reserve._reserve_breakpoints(inst.values, cfg.resolved_v_max(inst))
+            for lo, hi in zip(points, points[1:]):
                 quarter = lo + (hi - lo) / 4
                 mid = lo + (hi - lo) / 2
                 threequarter = lo + 3 * (hi - lo) / 4
