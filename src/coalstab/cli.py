@@ -193,13 +193,13 @@ def cmd_auction(args) -> int:
     inst = build_instance(args)
     table = ResultTable(("eq", "s", "r", "count", "potential", "ratio"),
                         provenance=_provenance(args, "auction"))
-    sizes = [2] if args.count_pairs else []
+    counts = [(2, True)] if args.count_pairs else []
     if args.count_coalitions:
-        sizes.append(args.count_coalitions)
-    for r in sizes:
+        counts.append((args.count_coalitions, False))
+    for r, pairs in counts:
         if args.eq == "vcg":
             count = auction.count_vcg_coalition_deviations(inst, r)
-        elif r == 2:  # size-2 potential coalitions are exactly the pairs
+        elif pairs:
             count = auction.count_pair_deviations(inst, args.eq)
         else:
             count = auction.count_coalition_deviations(inst, args.eq, r)

@@ -166,8 +166,8 @@ def first_deviation(profiles: Iterable, members: Sequence, base: Sequence,
     no member's `utility(i, profile)` falls below its entry of `base` and
     every member gains (strict) or at least one does (weak); None when no
     candidate qualifies.  A candidate is dropped at its first failing member,
-    so later members' utilities are never computed for it."""
-    check_kind(kind)
+    so later members' utilities are never computed for it.  `kind` is STRICT
+    or WEAK; callers validate it before they start any work."""
     strict = kind == STRICT
     for profile in profiles:
         improved = False

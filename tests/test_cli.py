@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coalstab import cli, games, srsg
+from coalstab import auction, cli, games, srsg
 from coalstab.errors import InputError
 from coalstab.tables import ResultTable
 from conftest import REPEAT
@@ -97,6 +97,21 @@ class TestAuctionCommand:
                                "--v", "10,6,2", "--x", "2,1", "--count-pairs")
         assert code == 0
         assert ResultTable.from_csv(out).rows[0][3] == 2
+
+    @pytest.mark.parametrize("eq", ["le", "ue"])
+    def test_each_flag_keeps_its_counter_when_n_is_at_most_s(self, capsys, eq):
+        # With n <= s the pair (k, s+1) has no bidder s+1: the coalition count
+        # leaves it out, the pair count does not, so size 2 differs by flag.
+        argv = ("auction", "--s", "3", "--n", "3", "--v", "6,4,2",
+                "--x", "4,2,1", "--eq", eq)
+        code, out, _ = run_cli(capsys, *argv, "--count-pairs",
+                               "--count-coalitions", "2")
+        assert code == 0
+        inst = auction.AuctionInstance(3, (6, 4, 2), (4, 2, 1))
+        pairs_row, coalitions_row = ResultTable.from_csv(out).rows
+        assert pairs_row[3] == auction.count_pair_deviations(inst, eq)
+        assert coalitions_row[3] == auction.count_coalition_deviations(inst, eq, 2)
+        assert pairs_row[4] == coalitions_row[4] == 6
 
     def test_requires_an_action(self, capsys):
         code, _, err = run_cli(capsys, "auction", "--s", "3")

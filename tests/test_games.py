@@ -78,6 +78,15 @@ class TestFindDeviation:
         with pytest.raises(BudgetExceededError):
             games.find_deviation(small_game, profile, (0, 1), budget=10)
 
+    def test_bad_kind_rejected_before_any_work(self):
+        def utility(i, profile):
+            raise AssertionError("no utility call expected")
+
+        game = games.FiniteGame(2, (3, 3), utility)
+        # budget 1 is below the 9 joint actions: the kind is checked first
+        with pytest.raises(InputError):
+            games.find_deviation(game, (0, 0), (0, 1), "sideways", budget=1)
+
     @pytest.mark.parametrize("profile,coalition", [
         ((0, 0, 0), (0, 1)),       # profile too short
         ((0,) * 6, (1, 0)),        # unsorted coalition
@@ -126,12 +135,6 @@ class TestFirstDeviation:
                     break
         assert calls == expected_calls
 
-    def test_bad_kind_rejected_before_any_candidate(self):
-        def utility(i, candidate):
-            raise AssertionError("no utility call expected")
-
-        with pytest.raises(InputError):
-            games.first_deviation([(0,)], (0,), (0,), utility, "sideways")
 
 
 class TestScoreVector:
