@@ -327,10 +327,13 @@ def _deviation_thresholds(inst: AuctionInstance, eq: str) -> list:
     loss(k) - loss(k+1) = (v_k - v_{k+1}) (x_k - x_{j-1}) at LE and
     (v_k - v_{k+1}) (x_{k+1} - x_{j-1}) at UE, both >= 0 for k <= j-2.  So
     the deviating k form a suffix of 1..j-2 and one binary search per j finds
-    its start: O(s log s) int operations in all.
+    its start: O(s log s) int operations in all.  Every LE/UE counter reads
+    these thresholds, so each needs a loser (n > s), as the equilibrium
+    bids do.
     """
     if eq not in _EQUILIBRIA:
         raise InputError(f"equilibrium must be one of {_EQUILIBRIA}")
+    inst.require_competition()
     s = inst.s
     x = _scaled([inst.ctr(i) for i in range(0, s + 2)])  # x[0] unused
     v = _scaled([inst.value(i) for i in range(0, s + 2)])  # v[0] = 0 unused

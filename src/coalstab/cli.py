@@ -217,6 +217,9 @@ def cmd_auction(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reserve(args) -> int:
+    if args.mode == "fixed" and args.check_sse:
+        raise InputError("--check-sse certifies the randomised reserve; "
+                         "it needs --mode star or star-lambda")
     inst = build_instance(args)
     report = {"provenance": _provenance(args, "reserve"), "mode": args.mode}
     cut = None
@@ -393,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-reserve", dest="q_reserve", default="1/2")
     p.add_argument("--vmax", default=None)
     p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--check-sse", dest="check_sse", action="store_true")
+    p.add_argument("--check-sse", dest="check_sse", action="store_true",
+                   help="certify truth-telling against weak coalition "
+                        "deviations (star and star-lambda modes only)")
     p.add_argument("--grid-refine", dest="grid_refine", type=int, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_reserve)

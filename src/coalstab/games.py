@@ -68,19 +68,19 @@ class FiniteGame:
     profile with `profile[j] < action_counts[j]`, must be deterministic, and
     must return an int or Fraction.
 
-    `deviation_search_factory` is an optional performance hook.  When set, it
-    is called as `factory(members, profile, kind)` and must return a callable
-    `search() -> joint | None` that exhaustively scans the coalition's joint
-    actions in lexicographic order and returns the first deviation of the
-    given kind (a tuple aligned with `members`), or None.  It must agree
-    exactly with the generic utility-based search; the package's tests
-    cross-check the two routes.
+    `deviation_test` is an optional decision hook.  When set, it is called as
+    `deviation_test(members, profile, kind) -> bool` with a validated
+    coalition, profile and kind, and must say exactly whether the coalition
+    has a deviation of that kind: its answer must equal "the generic scan
+    over the coalition's joint actions finds a witness" on every input (the
+    package's tests cross-check the two).  It decides only; witnesses always
+    come from the generic scan.
     """
 
     player_count: int
     action_counts: tuple
     utility: Callable[[int, Profile], Rational]
-    deviation_search_factory: Optional[Callable] = None
+    deviation_test: Optional[Callable] = None
 
     def __post_init__(self):
         if self.player_count < 1:
@@ -203,6 +203,17 @@ def _generic_search(game: FiniteGame, members: Coalition, profile: Profile,
     return None if found is None else tuple(found[i] for i in members)
 
 
+def _checked(game: FiniteGame, profile: Sequence, coalition: Iterable,
+             kind: str, budget: Optional[int]):
+    """Validate a search request and charge its joint action space to the
+    budget; returns (profile, members)."""
+    check_kind(kind)
+    profile = game.validate_profile(profile)
+    members = game.validate_coalition(coalition)
+    check_budget(prod(game.action_counts[i] for i in members), budget)
+    return profile, members
+
+
 def find_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
                    kind: str = STRICT, budget: Optional[int] = None):
     """Exhaustively search the coalition's joint actions for a deviation.
@@ -211,19 +222,28 @@ def find_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
     aligned with the coalition's members), or None when no deviation exists.
     Raises BudgetExceededError when the joint action space is larger than the
     effective budget; that outcome is deliberately distinct from None.
+
+    The witness always comes from the generic product scan.  On a game with a
+    `deviation_test` hook (srsg) a "no" from the hook returns None at once,
+    and a "yes" costs the scan up to the witness: at most one utility call per
+    member for each joint action up to it in product order, at worst the
+    whole joint action space.
     """
-    check_kind(kind)
-    profile = game.validate_profile(profile)
-    members = game.validate_coalition(coalition)
-    check_budget(prod(game.action_counts[i] for i in members), budget)
-    if game.deviation_search_factory is not None:
-        return game.deviation_search_factory(members, profile, kind)()
+    profile, members = _checked(game, profile, coalition, kind, budget)
+    if (game.deviation_test is not None
+            and not game.deviation_test(members, profile, kind)):
+        return None
     return _generic_search(game, members, profile, kind)
 
 
 def has_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
                   kind: str = STRICT, budget: Optional[int] = None) -> bool:
-    return find_deviation(game, profile, coalition, kind, budget) is not None
+    """Whether `find_deviation` would return a witness, without building one
+    when the game has a `deviation_test` hook."""
+    profile, members = _checked(game, profile, coalition, kind, budget)
+    if game.deviation_test is not None:
+        return game.deviation_test(members, profile, kind)
+    return _generic_search(game, members, profile, kind) is not None
 
 
 def score_vector(game: FiniteGame, profile: Sequence, kind: str = STRICT,

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, exp
+from math import ceil, comb, exp, lcm
 from typing import Optional, Sequence
 
 from . import games
@@ -410,94 +410,114 @@ def profile_to_assignment(inst: SrsgInstance, profile: Sequence) -> Assignment:
     return tuple(tuple(row) for row in rows)
 
 
+def _step_costs(costs: Sequence, loads: tuple, r: int) -> list:
+    """Pareto-minimal vectors of r members' costs in one step.
+
+    `loads` are the outsiders' loads sorted ascending, `costs[t-1]` the
+    cost at load t.  Resources with equal outsider load are interchangeable,
+    so they are filled in order: a member may take such a resource only when
+    an earlier member already took the one before it.  A vector another one
+    is at most entrywise never helps a coalition, so it is dropped.  The
+    vectors are returned negated, ready to be added to slacks.
+    """
+    m = len(loads)
+    counts = [0] * m  # members on each resource
+    picks = [0] * r
+    found = set()
+
+    def place(j):
+        if j == r:
+            found.add(tuple([costs[loads[c] + counts[c] - 1] for c in picks]))
+            return
+        for c in range(m):
+            if c and loads[c] == loads[c - 1] and not counts[c - 1]:
+                continue
+            counts[c] += 1
+            picks[j] = c
+            place(j + 1)
+            counts[c] -= 1
+
+    place(0)
+    return _pareto_max([tuple([-x for x in v]) for v in found])
+
+
+def _pareto_max(vectors) -> list:
+    """The entrywise-maximal members of `vectors`, one copy of each.  A
+    vector that dominates another has the larger sum, so it is seen first."""
+    kept = []
+    for v in sorted(vectors, key=sum, reverse=True):
+        if not any(all(a >= b for a, b in zip(w, v)) for w in kept):
+            kept.append(v)
+    return kept
+
+
 def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     """The SRSG as a FiniteGame (utilities are negated total costs).
 
-    Ships a deviation-search factory that walks the coalition's joint actions
-    depth first while keeping running load counts.  Because the cost table is
-    nondecreasing in the load, placing further members can only raise the
-    cost of members already placed, so a member already at or above its
-    baseline prunes the whole subtree.  The scan order matches the generic
-    product order, so both routes return the same first witness.
+    Ships an exact `deviation_test` hook, in agreement with the generic scan
+    on every input.  A member's cost is a sum over steps, and a step's loads
+    depend only on that step's choices, so the hook folds the steps one at a
+    time over the members' slacks (baseline cost minus cost so far, in the
+    cost table scaled to ints).  Each step subtracts every achievable vector
+    of step costs (`_step_costs`, memoised on the sorted outsider loads and
+    the coalition size) and keeps only the entrywise-maximal slacks that can
+    still end in a deviation: costs are nonnegative, so a slack below 0
+    (weak) or at most 0 (strict) never recovers.  The coalition deviates
+    when a slack vector survives the last step, with some entry above 0 for
+    a weak deviation.  The memo and the profile's loads are kept for one
+    profile at a time and dropped when a call brings another.
     """
     decode = _decode_table(inst)
     values = inst.cost.values
     m, n, k = inst.m, inst.n, inst.k
     action_count = m ** k
+    scale = lcm(*(Fraction(v).denominator for v in values))
+    costs = [int(v * scale) for v in values]
 
-    def utility(agent: int, profile):
+    def loads_of(profile):
         loads = [[0] * m for _ in range(k)]
         for action in profile:
             for t, r in enumerate(decode[action]):
                 loads[t][r] += 1
+        return loads
+
+    def utility(agent: int, profile):
+        loads = loads_of(profile)
         own = decode[profile[agent]]
         return -sum(values[loads[t][own[t]] - 1] for t in range(k))
 
-    def factory(members, profile, kind):
-        strict = kind == games.STRICT
-        member_count = len(members)
-        steps = tuple(range(k))
+    memo = {}  # (sorted outsider loads, coalition size) -> step-cost vectors
+    current = {}  # the profile the memo belongs to, its loads and costs
 
-        def search():
-            loads = [[0] * m for _ in range(k)]
-            for action in profile:
-                for t, r in enumerate(decode[action]):
-                    loads[t][r] += 1
-            base = [
-                sum(values[loads[t][r] - 1]
-                    for t, r in enumerate(decode[profile[i]]))
-                for i in members
-            ]
-            for i in members:  # strip members: loads count outsiders only
-                for t, r in enumerate(decode[profile[i]]):
-                    loads[t][r] -= 1
-            placements = [None] * member_count
-            chosen = [0] * member_count
-
-            def descend(depth):
-                last = depth + 1 == member_count
-                for action in range(action_count):
-                    placement = decode[action]
-                    for t in steps:
-                        loads[t][placement[t]] += 1
-                    placements[depth] = placement
-                    chosen[depth] = action
-                    ok = True
-                    improved = False
-                    for idx in range(depth + 1):
-                        pl = placements[idx]
-                        now = 0
-                        for t in steps:
-                            now += values[loads[t][pl[t]] - 1]
-                        limit = base[idx]
-                        if strict:
-                            if now >= limit:
-                                ok = False
-                                break
-                        else:
-                            if now > limit:
-                                ok = False
-                                break
-                            if now < limit:
-                                improved = True
-                    if ok:
-                        if last:
-                            if strict or improved:
-                                return tuple(chosen)
-                        else:
-                            witness = descend(depth + 1)
-                            if witness is not None:
-                                return witness
-                    for t in steps:
-                        loads[t][placement[t]] -= 1
-                return None
-
-            return descend(0)
-
-        return search
+    def deviation_test(members, profile, kind):
+        if current.get("profile") != profile:
+            memo.clear()
+            loads = loads_of(profile)
+            current.update(profile=profile, loads=loads, base=[
+                sum(costs[loads[t][r] - 1] for t, r in enumerate(decode[a]))
+                for a in profile])
+        loads, base = current["loads"], current["base"]
+        r = len(members)
+        floor = 1 if kind == games.STRICT else 0
+        slacks = [tuple(base[i] for i in members)]
+        for t in range(k):
+            outside = list(loads[t])
+            for i in members:
+                outside[decode[profile[i]][t]] -= 1
+            key = (tuple(sorted(outside)), r)
+            if key not in memo:
+                memo[key] = _step_costs(costs, key[0], r)
+            # tuple() of a list, not of a generator, reuses freed tuples of
+            # its size; of a generator it allocates anew and memory grows
+            sums = (tuple([a + b for a, b in zip(s, v)])
+                    for s in slacks for v in memo[key])
+            slacks = _pareto_max([d for d in sums if min(d) >= floor])
+            if not slacks:
+                return False
+        return floor == 1 or any(map(any, slacks))
 
     return games.FiniteGame(n, (action_count,) * n, utility,
-                            deviation_search_factory=factory)
+                            deviation_test=deviation_test)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coalstab import auction, cli, games, srsg
+from coalstab import cli, games, srsg
 from coalstab.errors import InputError
 from coalstab.tables import ResultTable
 from conftest import REPEAT
@@ -99,19 +99,14 @@ class TestAuctionCommand:
         assert ResultTable.from_csv(out).rows[0][3] == 2
 
     @pytest.mark.parametrize("eq", ["le", "ue"])
-    def test_each_flag_keeps_its_counter_when_n_is_at_most_s(self, capsys, eq):
-        # With n <= s the pair (k, s+1) has no bidder s+1: the coalition count
-        # leaves it out, the pair count does not, so size 2 differs by flag.
-        argv = ("auction", "--s", "3", "--n", "3", "--v", "6,4,2",
-                "--x", "4,2,1", "--eq", eq)
-        code, out, _ = run_cli(capsys, *argv, "--count-pairs",
-                               "--count-coalitions", "2")
-        assert code == 0
-        inst = auction.AuctionInstance(3, (6, 4, 2), (4, 2, 1))
-        pairs_row, coalitions_row = ResultTable.from_csv(out).rows
-        assert pairs_row[3] == auction.count_pair_deviations(inst, eq)
-        assert coalitions_row[3] == auction.count_coalition_deviations(inst, eq, 2)
-        assert pairs_row[4] == coalitions_row[4] == 6
+    @pytest.mark.parametrize("flag", [("--count-pairs",), ("--count-coalitions", "2")],
+                             ids=["pairs", "coalitions"])
+    def test_counters_reject_n_at_most_s(self, capsys, eq, flag):
+        # with no loser there is no equilibrium to judge
+        code, out, err = run_cli(capsys, "auction", "--s", "3", "--n", "3",
+                                 "--v", "6,4,2", "--x", "4,2,1", "--eq", eq, *flag)
+        assert code == 1 and out == ""
+        assert "more bidders than slots" in json.loads(err.strip())["detail"]
 
     def test_requires_an_action(self, capsys):
         code, _, err = run_cli(capsys, "auction", "--s", "3")
@@ -127,6 +122,13 @@ class TestReserveCommand:
         report = json.loads(out)
         assert report["modes_agree"] is True
         assert report["payments"] == ["9/2", "3/1"]
+
+    def test_fixed_mode_rejects_check_sse(self, capsys):
+        code, out, err = run_cli(capsys, "reserve", "--s", "3", "--n", "3",
+                                 "--v", "6,4,2", "--x", "4,2,1",
+                                 "--mode", "fixed", "--c", "3", "--check-sse")
+        assert code == 1 and out == ""
+        assert "--check-sse" in json.loads(err.strip())["detail"]
 
     def test_star_mode_certifies(self, capsys):
         code, out, _ = run_cli(capsys, "reserve", "--s", "3", "--n", "3",

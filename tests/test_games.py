@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -306,6 +308,26 @@ class TestGameDocuments:
                "utilities": {"kind": "generator", "name": "mystery"}}
         with pytest.raises(InputError):
             games.game_from_document(doc)
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_random_table_games_round_trip(self, data):
+        action_counts = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                                 max_size=3), label="actions"))
+        n = len(action_counts)
+        rational = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+        table = {p: tuple(data.draw(st.lists(rational, min_size=n, max_size=n)))
+                 for p in itertools.product(*(range(c) for c in action_counts))}
+        game = games.FiniteGame(n, action_counts, lambda i, p: table[p][i])
+        profile = st.tuples(*(st.integers(0, c - 1) for c in action_counts))
+        named = data.draw(st.dictionaries(st.text("abcxyz", min_size=1, max_size=4),
+                                          profile, max_size=3), label="profiles")
+        doc = json.loads(json.dumps(games.game_to_document(game, named)))
+        rebuilt, profiles = games.game_from_document(doc)
+        assert rebuilt.action_counts == action_counts
+        assert profiles == named
+        for p, payoffs in table.items():
+            assert tuple(rebuilt.utility(i, p) for i in range(n)) == payoffs
 
     def test_rational_strings_round_trip(self):
         assert games.rational_from_str("3/4") == Fraction(3, 4)

@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalstab import games, srsg
 from coalstab.errors import ContractError, InputError
@@ -133,6 +136,17 @@ class TestStructuralRule:
             assert structural == brute
 
 
+    @settings(max_examples=60)
+    @given(m=st.integers(2, 4), n_extra=st.integers(1, 8), k=st.integers(2, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_structural_rule_matches_bruteforce_on_random_equilibria(
+            self, m, n_extra, k, seed):
+        inst = srsg.SrsgInstance(m, m + n_extra, k, srsg.CostFn.linear(m + n_extra))
+        assignment = srsg.sample_random_ne(inst, seed)
+        assert srsg.count_pair_deviations(inst, assignment) == \
+            srsg.count_pair_deviations(inst, assignment, "bruteforce")
+
+
 class TestRandomEquilibria:
     def test_sampling_is_deterministic_in_the_seed(self, small_instance):
         a = srsg.sample_random_ne(small_instance, 123)
@@ -239,3 +253,58 @@ class TestEncoding:
             srsg.SrsgInstance(1, 6, 2, srsg.CostFn.linear(6))
         with pytest.raises(InputError):
             srsg.CostFn((3, 2, 1))
+
+
+@st.composite
+def srsg_cases(draw):
+    """An srsg instance with a linear or a random nondecreasing cost (flat
+    stretches and zero costs included, some steps fractional), two
+    arbitrary profiles and a few coalitions of at most three agents."""
+    m, n, k = draw(st.integers(2, 3)), draw(st.integers(3, 6)), draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        cost = srsg.CostFn.linear(n)
+    else:
+        rises = draw(st.lists(st.sampled_from((0, 0, 1, 2, Fraction(1, 2), Fraction(5, 3))),
+                              min_size=n, max_size=n))
+        cost = srsg.CostFn(tuple(itertools.accumulate(rises)))
+    inst = srsg.SrsgInstance(m, n, k, cost)
+    action = st.integers(0, m ** k - 1)
+    profiles = [tuple(draw(st.lists(action, min_size=n, max_size=n))) for _ in range(2)]
+    coalition = st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                         unique=True).map(lambda c: tuple(sorted(c)))
+    return inst, profiles, draw(st.lists(coalition, min_size=1, max_size=3))
+
+
+class TestDeviationTest:
+    """The srsg decision hook against the generic scan of the same utility."""
+
+    @settings(max_examples=150)
+    @given(case=srsg_cases(), kind=st.sampled_from((games.STRICT, games.WEAK)))
+    def test_hook_agrees_with_generic_scan(self, case, kind):
+        inst, profiles, coalitions = case
+        game = srsg.induced_game(inst)
+        generic = games.FiniteGame(game.player_count, game.action_counts, game.utility)
+        # alternate the two profiles so each call finds the other's memo
+        for members in coalitions:
+            for profile in profiles:
+                witness = games.find_deviation(generic, profile, members, kind)
+                assert games.has_deviation(game, profile, members, kind) == \
+                    (witness is not None)
+                assert games.find_deviation(game, profile, members, kind) == witness
+
+    def test_has_deviation_builds_no_witness(self, small_instance):
+        calls = []
+        game = srsg.induced_game(small_instance)
+
+        def utility(agent, profile):
+            calls.append(agent)
+            return game.utility(agent, profile)
+
+        hooked = games.FiniteGame(game.player_count, game.action_counts, utility,
+                                  deviation_test=game.deviation_test)
+        profile = srsg.assignment_to_profile(small_instance, REPEAT)
+        assert games.score_vector(hooked, profile, games.WEAK).counts == (0, 2, 8, 9, 2, 0)
+        assert calls == []
+        assert games.find_deviation(hooked, profile, (0, 1)) == \
+            games._generic_search(game, (0, 1), profile, games.STRICT)
+        assert calls
