@@ -12,6 +12,7 @@ arithmetic is exact, and a deviation exists only on a strict inequality.
 """
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -385,13 +386,20 @@ def count_pair_deviations(inst: AuctionInstance, eq: str) -> int:
 # move; everything else contains permanently idle members.
 # ---------------------------------------------------------------------------
 
-def is_potential_coalition(members: Sequence, s: int, n: int) -> bool:
-    """Winners only, or winners plus the consecutive loser block s+1..s+t."""
+def _check_ranks(members: Sequence, n: int) -> tuple:
+    """`members` as a tuple; InputError unless they are strictly increasing
+    ranks in 1..n."""
     members = tuple(members)
     if not members or list(members) != sorted(set(members)):
         raise InputError("coalition must be a strictly increasing rank tuple")
     if members[0] < 1 or members[-1] > n:
         raise InputError("rank out of range")
+    return members
+
+
+def is_potential_coalition(members: Sequence, s: int, n: int) -> bool:
+    """Winners only, or winners plus the consecutive loser block s+1..s+t."""
+    members = _check_ranks(members, n)
     winners = [r for r in members if r <= s]
     losers = [r for r in members if r > s]
     if not winners:
@@ -530,24 +538,72 @@ def exhaustive_bid_search(inst: AuctionInstance, bids: Sequence,
                           members: Sequence, kind: str = WEAK,
                           refine: int = 4):
     """Scan all grid rebids of the coalition for a joint deviation, judged by
-    exact GSP utilities against the starting profile.  Tied candidate
-    profiles are skipped (generic-profile assumption).  Returns the first
-    witnessing bid vector or None; raises BudgetExceededError up front when
-    the grid^|members| joint rebids exceed the search budget."""
+    exact GSP utilities against the starting profile.  `bids` holds one
+    nonnegative bid per bidder (bidder i has value values[i-1]); `members`
+    are strictly increasing bidder numbers in 1..n.  Tied candidate profiles
+    are skipped (generic-profile assumption).  Returns the first witnessing
+    bid vector, in `itertools.product` order over `bid_grid`, or None;
+    raises BudgetExceededError up front when the grid^r joint rebids
+    (r = |members|) exceed the search budget.
+
+    The scan runs on ints.  The grid, the bids and the values are scaled
+    once by the lcm D of their denominators and the CTRs by the lcm X of
+    theirs, so every utility becomes an int D*X times the true one and
+    every comparison keeps its outcome.  Outsiders never rebid, so one
+    bisection over their sorted bids gives, for each grid point, the number
+    of outsiders above it and the highest outsider bid below it (0 if
+    none).  A member bidding c then holds rank 1 + (outsiders above c) +
+    (members above c) and pays the larger of that outsider bid and the
+    highest member bid below c; past slot s its utility is 0.  Each member
+    utility is O(r) int work, computed only when `first_deviation` asks
+    for it, so a candidate dropped at its first failing member costs one
+    member's utility, and the n - r outsiders are never touched.  A witness
+    is re-judged once through `gsp_outcome`, the `Fraction` route."""
     check_kind(kind)
     bids = _as_fraction_tuple(bids)
+    indices = [rank - 1 for rank in _check_ranks(members, inst.n)]
+    if min(bids, default=0) < 0:
+        raise InputError("bids must be nonnegative")
     base = gsp_outcome(inst, bids).utilities
-    indices = [rank - 1 for rank in members]
     grid = bid_grid(inst, bids, refine)
     check_budget(len(grid) ** len(indices))
-    joints = untied_joints(itertools.product(grid, repeat=len(indices)),
-                           bids, indices)
-    # GSP runs once per candidate; the scan reads members' utilities off it
-    candidates = ((work, gsp_outcome(inst, work).utilities)
-                  for work in rebids(bids, indices, joints))
-    found = first_deviation(candidates, indices, [base[i] for i in indices],
-                            lambda i, candidate: candidate[1][i], kind)
-    return None if found is None else found[0]
+    d = lcm(*(f.denominator for f in grid + bids + inst.values))
+    xd = lcm(*(f.denominator for f in inst.ctrs))
+    x = [int(f * xd) for f in inst.ctrs]
+    points = {int(p * d): p for p in grid}
+    work = [int(b * d) for b in bids]
+    outsiders = sorted(b for i, b in enumerate(work) if i not in indices)
+    above, below = {}, {}
+    for c in points:
+        k = bisect_left(outsiders, c)
+        above[c] = len(outsiders) - bisect_right(outsiders, c)
+        below[c] = outsiders[k - 1] if k else 0
+    values = [int(inst.values[i] * d) for i in indices]
+    s = inst.s
+
+    def utility(j, joint):
+        c = joint[j]
+        rank, price = above[c], below[c]  # rank counted from 0
+        for other in joint:
+            if other > c:
+                rank += 1
+            elif price < other < c:
+                price = other
+        return (values[j] - price) * x[rank] if rank < s else 0
+
+    joints = untied_joints(itertools.product(points, repeat=len(indices)),
+                           work, indices)
+    found = first_deviation(joints, range(len(indices)),
+                            [int(base[i] * d * xd) for i in indices], utility, kind)
+    if found is None:
+        return None
+    witness = next(rebids(bids, indices, [[points[c] for c in found]]))
+    moved = gsp_outcome(inst, witness).utilities
+    if first_deviation([witness], indices, [base[i] for i in indices],
+                       lambda i, _: moved[i], kind) is None:
+        raise AssertionError(f"integer scan witness {witness} fails the "
+                             "exact GSP check")
+    return witness
 
 
 # ---------------------------------------------------------------------------

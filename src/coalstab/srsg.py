@@ -216,6 +216,12 @@ def sample_random_ne(inst: SrsgInstance, seed: int) -> Assignment:
     if not inst.cost.is_convex:
         raise ContractError("random nearly balanced rows are equilibria only "
                             "for convex costs")
+    return _random_rows(inst, seed)
+
+
+def _random_rows(inst: SrsgInstance, seed: int) -> Assignment:
+    """`sample_random_ne` without the convexity check, for callers that made
+    it once up front."""
     rng = random.Random(seed)
     return tuple(_random_balanced_row(inst, rng) for _ in range(inst.k))
 
@@ -345,7 +351,7 @@ def _sample_counts_range(args) -> list:
     inst, seed, start, stop = args
     out = []
     for i in range(start, stop):
-        assignment = sample_random_ne(inst, seed * _SEED_STRIDE + i)
+        assignment = _random_rows(inst, seed * _SEED_STRIDE + i)
         out.append(_structural_pair_count(inst, assignment))
     return out
 

@@ -2,8 +2,10 @@
 
 Cells are ints, exact rationals, floats or short strings.  Rationals always
 serialise as "p/q" strings (never floats); floats use repr so they re-parse
-bit for bit.  Every emitted table carries a provenance record (command echo,
-seed, version) which strips cleanly, leaving plain data.
+bit for bit.  A string cell that would read back as another type ("7" or
+"1.5" in CSV, "1/2" in either format) is refused with InputError instead of
+being written.  Every emitted table carries a provenance record (command
+echo, seed, version) which strips cleanly, leaving plain data.
 """
 
 import csv
@@ -15,8 +17,9 @@ from fractions import Fraction
 
 from .errors import InputError
 
-_RATIONAL_RE = re.compile(r"^-?\d+/\d+$")
-_INT_RE = re.compile(r"^-?\d+$")
+# ASCII digits only, and whole-string matches: "7\n" and "0/0" stay strings
+_RATIONAL_RE = re.compile(r"-?[0-9]+/[0-9]*[1-9][0-9]*")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def format_cell(cell) -> str:
@@ -29,17 +32,19 @@ def format_cell(cell) -> str:
     if isinstance(cell, float):
         return repr(cell)
     if isinstance(cell, str):
+        if not isinstance(parse_cell(cell), str):
+            raise InputError(f"string cell {cell!r} would read back as a number")
         return cell
     raise InputError(f"unsupported cell type {type(cell).__name__}")
 
 
 def parse_cell(text: str):
-    if _INT_RE.match(text):
+    if _INT_RE.fullmatch(text):
         return int(text)
-    if _RATIONAL_RE.match(text):
+    if _RATIONAL_RE.fullmatch(text):
         return Fraction(text)
     try:
-        if any(ch in text for ch in ".eE") and text not in (".", "e", "E"):
+        if "." in text or "e" in text or "E" in text:
             return float(text)
     except ValueError:
         pass
@@ -49,11 +54,13 @@ def parse_cell(text: str):
 def cell_to_json(cell):
     if isinstance(cell, Fraction):
         return f"{cell.numerator}/{cell.denominator}"
+    if isinstance(cell, str) and _RATIONAL_RE.fullmatch(cell):
+        raise InputError(f"string cell {cell!r} would read back as a rational")
     return cell
 
 
 def cell_from_json(value):
-    if isinstance(value, str) and _RATIONAL_RE.match(value):
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
         return Fraction(value)
     return value
 
@@ -115,11 +122,13 @@ class ResultTable:
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
         provenance = {}
-        lines = text.splitlines()
-        if lines and lines[0].startswith("# provenance: "):
-            provenance = json.loads(lines[0][len("# provenance: "):])
-            lines = lines[1:]
-        reader = csv.reader(lines)
+        first, _, rest = text.partition("\n")
+        if first.startswith("# provenance: "):
+            provenance = json.loads(first[len("# provenance: "):])
+            text = rest
+        # the csv module, not str.splitlines, ends records: a quoted cell may
+        # hold "\r", "\n" or another line break
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
             columns = tuple(next(reader))
         except StopIteration:

@@ -26,6 +26,22 @@ def decreasing_rationals(draw, size):
     return sorted(drawn, reverse=True)
 
 
+def fraction_scan(inst, bids, members, kind, refine):
+    """The grid search with one `Fraction` GSP outcome per candidate: the
+    oracle of `exhaustive_bid_search`'s integer scan."""
+    bids = tuple(Fraction(b) for b in bids)
+    indices = [rank - 1 for rank in members]
+    base = auction.gsp_outcome(inst, bids).utilities
+    grid = auction.bid_grid(inst, bids, refine)
+    joints = auction.untied_joints(itertools.product(grid, repeat=len(indices)),
+                                   bids, indices)
+    candidates = ((work, auction.gsp_outcome(inst, work).utilities)
+                  for work in games.rebids(bids, indices, joints))
+    found = games.first_deviation(candidates, indices, [base[i] for i in indices],
+                                  lambda i, candidate: candidate[1][i], kind)
+    return None if found is None else found[0]
+
+
 @pytest.fixture(scope="module")
 def tiny():
     return auction.AuctionInstance(2, (10, 6, 2), (2, 1))
@@ -377,6 +393,43 @@ class TestGridSearch:
         with pytest.raises(InputError):
             auction.exhaustive_bid_search(low_bid, auction.le_bids(low_bid), (1, 2),
                                           "sideways", 4)
+
+    @pytest.mark.parametrize("members", [(0, 2), (2, 1), (1, 1), (1, 4)],
+                             ids=["rank-zero", "unsorted", "duplicate", "past-n"])
+    def test_bad_members_rejected_before_the_budget_check(self, tiny, members,
+                                                          monkeypatch):
+        # bidder 0 must not wrap round to the last bidder, and n+1 must not
+        # surface as an IndexError
+        monkeypatch.setenv("COALSTAB_BUDGET", "1")
+        with pytest.raises(InputError):
+            auction.exhaustive_bid_search(tiny, auction.le_bids(tiny), members,
+                                          "weak", 4)
+
+    def test_negative_bids_rejected(self, tiny):
+        # the integer scan charges 0 when no bid is below, as GSP does only
+        # for nonnegative bids
+        with pytest.raises(InputError):
+            auction.exhaustive_bid_search(tiny, (10, 4, -1), (1, 2), "weak", 1)
+
+    @settings(max_examples=120)
+    @given(data=st.data(), kind=st.sampled_from((games.WEAK, games.STRICT)))
+    def test_integer_scan_matches_fraction_scan(self, data, kind):
+        s = data.draw(st.integers(1, 3), label="s")
+        n = data.draw(st.integers(2, 2 * s + 2), label="n")
+        inst = auction.AuctionInstance(s, data.draw(decreasing_rationals(n)),
+                                       data.draw(decreasing_rationals(s)))
+        if n > s:
+            bids = auction.equilibrium_bids(
+                inst, data.draw(st.sampled_from((auction.LE, auction.UE)), label="eq"))
+        else:
+            bids = data.draw(st.permutations(data.draw(decreasing_rationals(n))),
+                             label="bids")
+        size = data.draw(st.integers(1, min(3, n)), label="size")
+        members = data.draw(st.sampled_from(
+            list(itertools.combinations(range(1, n + 1), size))), label="members")
+        refine = data.draw(st.integers(1, 2), label="refine")
+        assert (auction.exhaustive_bid_search(inst, bids, members, kind, refine)
+                == fraction_scan(inst, bids, members, kind, refine))
 
     @pytest.mark.xfail(strict=True, reason="bid_grid's lowest point is 43/8; "
                        "the deviation needs bidder 3 below 1/2")

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalstab.errors import InputError
 from coalstab.tables import ResultTable, format_cell, parse_cell
@@ -58,6 +60,59 @@ class TestRoundTrips:
         table = ResultTable(("a", "b"))
         with pytest.raises(InputError):
             table.append(1)
+
+
+@st.composite
+def tables(draw):
+    """Random tables of ints, rationals and short strings (none that reads
+    back as a number), with or without provenance."""
+    width = draw(st.integers(1, 4))
+    text = st.text(max_size=6)
+    cells = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=50),
+                      text.filter(lambda s: isinstance(parse_cell(s), str)))
+    columns = draw(st.lists(text, min_size=width, max_size=width))
+    rows = draw(st.lists(st.tuples(*[cells] * width), max_size=5))
+    provenance = draw(st.one_of(st.just({}), st.dictionaries(text, text, min_size=1,
+                                                             max_size=3)))
+    return ResultTable(columns, rows, provenance)
+
+
+def typed(table):
+    """`table` with every cell's type next to it (Fraction(5) == 5, so the
+    values alone would not show a cell that changed type)."""
+    return (table.columns, [[(type(c), c) for c in row] for row in table.rows],
+            table.provenance)
+
+
+class TestRandomRoundTrips:
+    @settings(max_examples=300)
+    @given(table=tables())
+    def test_csv(self, table):
+        assert typed(ResultTable.from_csv(table.to_csv())) == typed(table)
+
+    @settings(max_examples=300)
+    @given(table=tables())
+    def test_json(self, table):
+        assert typed(ResultTable.from_json(table.to_json())) == typed(table)
+
+    def test_csv_keeps_line_breaks_inside_cells(self):
+        # a quoted cell may hold "\r", "\n" or U+0085, which str.splitlines
+        # also treats as line ends
+        table = ResultTable(("\r",), [("a\nb",), ("\x85",)], {"seed": "7"})
+        assert typed(ResultTable.from_csv(table.to_csv())) == typed(table)
+
+    def test_zero_denominator_stays_a_string(self):
+        # neither is a number: "0/0" has no value, "7\n" has a line break
+        table = ResultTable(("x",), [("0/0",), ("7\n",)])
+        assert typed(ResultTable.from_csv(table.to_csv())) == typed(table)
+        assert typed(ResultTable.from_json(table.to_json())) == typed(table)
+
+    @pytest.mark.parametrize("render,cell", [("csv", "0"), ("csv", "1.5"),
+                                             ("csv", "0/1"), ("json", "0/1")])
+    def test_number_like_strings_are_refused(self, render, cell):
+        # written as is, they would read back as an int, a float or a Fraction
+        with pytest.raises(InputError):
+            ResultTable(("x",), [(cell,)]).render(render)
 
 
 class TestDecimalColumns:
