@@ -191,23 +191,52 @@ def build_scatter_ne(inst: SrsgInstance) -> Assignment:
     return (first, tuple(second))
 
 
-def _random_balanced_row(inst: SrsgInstance, rng: random.Random) -> tuple:
-    """Uniform draw over rows whose load multiset is nearly balanced.
+def _permutation(getrandbits, n: int) -> list:
+    """`random.Random.sample(range(n), n)` for the generator that owns
+    `getrandbits`: the same list, leaving the generator in the same state.
 
-    A uniform agent permutation dealt into chunks, with a uniform choice of
-    which resources take the larger chunks, hits every valid row with equal
-    probability (the chunk-internal orderings contribute a constant factor).
+    At k = n `sample` always takes its pool branch: draw j below the pool
+    size by rejection on `getrandbits`, take pool[j] and fill its place from
+    the pool's end.  Here the taken items collect at the end instead, so
+    the pool read backwards is the sample.
     """
-    order = rng.sample(range(inst.n), inst.n)
+    pool = list(range(n))
+    for last in range(n - 1, -1, -1):
+        bits = (last + 1).bit_length()
+        j = getrandbits(bits)
+        while j > last:
+            j = getrandbits(bits)
+        pool[j], pool[last] = pool[last], pool[j]
+    pool.reverse()
+    return pool
+
+
+def _deal(inst: SrsgInstance, rng: random.Random) -> list:
+    """One step's agents in m chunks, chunk r on resource r.
+
+    A uniform agent permutation is cut into nearly balanced chunks, and a
+    uniform choice of resources takes the q larger ones.  That hits every
+    nearly balanced row with equal probability (the chunk-internal
+    orderings contribute a constant factor).
+    """
+    order = _permutation(rng.getrandbits, inst.n)
     overfull = set(rng.sample(range(inst.m), inst.q))
-    row = [0] * inst.n
     base = inst.n // inst.m
-    idx = 0
+    chunks = []
+    start = 0
     for resource in range(inst.m):
-        size = base + 1 if resource in overfull else base
-        for _ in range(size):
-            row[order[idx]] = resource
-            idx += 1
+        stop = start + base + (resource in overfull)
+        chunks.append(order[start:stop])
+        start = stop
+    return chunks
+
+
+def _random_balanced_row(inst: SrsgInstance, rng: random.Random) -> tuple:
+    """Uniform draw over rows whose load multiset is nearly balanced."""
+    row = [0] * inst.n
+    for resource, chunk in enumerate(_deal(inst, rng)):
+        for agent in chunk:
+            row[agent] = resource
     return tuple(row)
 
 
@@ -216,12 +245,6 @@ def sample_random_ne(inst: SrsgInstance, seed: int) -> Assignment:
     if not inst.cost.is_convex:
         raise ContractError("random nearly balanced rows are equilibria only "
                             "for convex costs")
-    return _random_rows(inst, seed)
-
-
-def _random_rows(inst: SrsgInstance, seed: int) -> Assignment:
-    """`sample_random_ne` without the convexity check, for callers that made
-    it once up front."""
     rng = random.Random(seed)
     return tuple(_random_balanced_row(inst, rng) for _ in range(inst.k))
 
@@ -265,21 +288,39 @@ def pair_deviates_structural(inst: SrsgInstance, assignment: Sequence,
     return sum(1 for _, tag in shared if tag == "full") >= 2
 
 
+def _full_groups(inst: SrsgInstance, groups) -> list:
+    """The groups that fill an overfull resource, as sets (none if q = 0)."""
+    if inst.q == 0:
+        return []
+    full = inst.full_load
+    return [set(g) for g in groups if len(g) == full]
+
+
+def _shared_full_pairs(steps: list) -> int:
+    """Count pairs in one full group at two or more steps; `steps[t]` holds
+    step t's full groups.  A pair counts once however often it meets, so
+    every two steps' groups are intersected and the pairs of each
+    intersection collected in a set."""
+    pairs = set()
+    for t, groups in enumerate(steps):
+        for later in steps[t + 1:]:
+            for a in groups:
+                for b in later:
+                    both = a & b
+                    if len(both) > 1:  # mostly 0 or 1 agents: no pair, no sort
+                        pairs.update(itertools.combinations(sorted(both), 2))
+    return len(pairs)
+
+
 def _structural_pair_count(inst: SrsgInstance, assignment: Assignment) -> int:
     """Count pairs sharing an overfull resource in two or more steps."""
-    full = inst.full_load
-    if inst.q == 0:
-        return 0
-    seen = {}
+    steps = []
     for row in assignment:
         groups = [[] for _ in range(inst.m)]
         for agent, r in enumerate(row):
             groups[r].append(agent)
-        for group in groups:
-            if len(group) == full:
-                for pair in itertools.combinations(group, 2):
-                    seen[pair] = seen.get(pair, 0) + 1
-    return sum(1 for hits in seen.values() if hits >= 2)
+        steps.append(_full_groups(inst, groups))
+    return _shared_full_pairs(steps)
 
 
 def count_pair_deviations(inst: SrsgInstance, assignment: Sequence,
@@ -349,10 +390,12 @@ _SEED_STRIDE = 1_000_003  # fixed arithmetic: sample i uses seed*stride + i
 
 def _sample_counts_range(args) -> list:
     inst, seed, start, stop = args
+    rng = random.Random()
     out = []
     for i in range(start, stop):
-        assignment = _random_rows(inst, seed * _SEED_STRIDE + i)
-        out.append(_structural_pair_count(inst, assignment))
+        rng.seed(seed * _SEED_STRIDE + i)  # the state random.Random(...) has
+        out.append(_shared_full_pairs(
+            [_full_groups(inst, _deal(inst, rng)) for _ in range(inst.k)]))
     return out
 
 
@@ -362,7 +405,13 @@ def sample_pair_deviation_counts(inst: SrsgInstance, samples: int, seed: int,
 
     Sample i is driven by its own derived seed, so the result is a pure
     function of (inst, samples, seed) regardless of how the index range is
-    split across worker processes.
+    split across worker processes: count i equals
+    `count_pair_deviations(inst, sample_random_ne(inst, seed * _SEED_STRIDE + i))`.
+    The sampler gets there without building rows: it draws each step's
+    permutation with its own copy of `random.Random.sample`, deals it into
+    chunks (`_deal`, as `sample_random_ne` does) and counts the pairs by
+    intersecting the full chunks of every two steps.  The pool starts no
+    more processes than it has jobs.
     """
     if samples < 0:
         raise InputError("samples must be nonnegative")
@@ -375,7 +424,7 @@ def sample_pair_deviation_counts(inst: SrsgInstance, samples: int, seed: int,
     chunk = (samples + workers - 1) // workers
     jobs = [(inst, seed, start, min(start + chunk, samples))
             for start in range(0, samples, chunk)]
-    with multiprocessing.Pool(workers) as pool:
+    with multiprocessing.Pool(len(jobs)) as pool:
         parts = pool.map(_sample_counts_range, jobs)
     return [c for part in parts for c in part]
 

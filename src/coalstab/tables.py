@@ -4,13 +4,16 @@ Cells are ints, exact rationals, floats or short strings.  Rationals always
 serialise as "p/q" strings (never floats); floats use repr so they re-parse
 bit for bit.  A string cell that would read back as another type ("7" or
 "1.5" in CSV, "1/2" in either format) is refused with InputError instead of
-being written.  Every emitted table carries a provenance record (command
-echo, seed, version) which strips cleanly, leaving plain data.
+being written, and so are the cells neither format can carry back: an
+infinite or NaN float, and any row of a table without columns in CSV.
+Every emitted table carries a provenance record (command echo, seed,
+version) which strips cleanly, leaving plain data.
 """
 
 import csv
 import io
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +33,7 @@ def format_cell(cell) -> str:
     if isinstance(cell, int):
         return str(cell)
     if isinstance(cell, float):
+        _require_finite(cell)
         return repr(cell)
     if isinstance(cell, str):
         if not isinstance(parse_cell(cell), str):
@@ -51,7 +55,15 @@ def parse_cell(text: str):
     return text
 
 
+def _require_finite(cell: float) -> None:
+    # CSV would read "inf" back as a string; JSON has no such number
+    if not math.isfinite(cell):
+        raise InputError(f"float cell {cell!r} is not finite")
+
+
 def cell_to_json(cell):
+    if isinstance(cell, float):
+        _require_finite(cell)
     if isinstance(cell, Fraction):
         return f"{cell.numerator}/{cell.denominator}"
     if isinstance(cell, str) and _RATIONAL_RE.fullmatch(cell):
@@ -109,6 +121,8 @@ class ResultTable:
     # -- CSV ---------------------------------------------------------------
 
     def to_csv(self) -> str:
+        if self.rows and not self.columns:
+            raise InputError("a table without columns has no CSV rows")
         buf = io.StringIO()
         if self.provenance:
             blob = json.dumps(self.provenance, sort_keys=True)

@@ -163,6 +163,27 @@ class TestPairPredicates:
                     after = auction.simulate_pair_deviation(inst, "le", k, j)
                     assert auction.pair_gain(inst, "le", k, j) == after - before
 
+    @pytest.fixture
+    def six_bidders(self):
+        # n = 2s, so bidder s+2 = 5 bids below bidder s+1 = 4
+        return auction.make_instance(3, auction.ShapeSpec("linear", 6),
+                                     auction.ShapeSpec("linear", 3))
+
+    def test_rank_s_plus_2_blocks_the_pair_move(self, six_bidders):
+        # bidder 4 cannot shade below bidder 5's bid, so bidder 2 pays it
+        bids = auction.le_bids(six_bidders)
+        before = auction.gsp_outcome(six_bidders, bids).utilities[1]
+        assert auction.simulate_pair_deviation(six_bidders, "le", 2, 4, 0) == before == 3
+        assert auction.exhaustive_bid_search(six_bidders, bids, (2, 4), "weak", 4) is None
+
+    @pytest.mark.xfail(strict=True, reason="pair_gain overcounts when n > s+1: it "
+                       "prices the (k, s+1) move as if bidder s+1 could shade to 0, "
+                       "and gives 2 where the gain is 0")
+    def test_delta_formula_equals_simulation_past_rank_s_plus_1(self, six_bidders):
+        before = auction.gsp_outcome(six_bidders, auction.le_bids(six_bidders)).utilities[1]
+        after = auction.simulate_pair_deviation(six_bidders, "le", 2, 4, 0)
+        assert auction.pair_gain(six_bidders, "le", 2, 4) == after - before
+
     def test_two_apart_pairs_deviate_at_upper(self):
         rng = random.Random(7)
         for _ in range(20):

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 import math
+import multiprocessing
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coalstab import games, srsg
@@ -192,6 +195,82 @@ class TestRandomEquilibria:
         sequential = srsg.sample_pair_deviation_counts(small_instance, 40, 7)
         split = srsg.sample_pair_deviation_counts(small_instance, 40, 7, workers=2)
         assert sequential == split
+
+
+def dict_pair_count(inst, assignment):
+    """Reference count on rows: tally the pairs of every full group in a
+    dict, step by step, and keep those seen at two or more steps."""
+    if inst.q == 0:
+        return 0
+    seen = {}
+    for row in assignment:
+        groups = [[] for _ in range(inst.m)]
+        for agent, r in enumerate(row):
+            groups[r].append(agent)
+        for group in groups:
+            if len(group) == inst.full_load:
+                for pair in itertools.combinations(group, 2):
+                    seen[pair] = seen.get(pair, 0) + 1
+    return sum(1 for hits in seen.values() if hits >= 2)
+
+
+class TestSampler:
+    """The sampler's own permutation draw and set-intersection counter
+    against `random.Random.sample`, the pair rule and the former counter."""
+
+    def test_ten_thousand_counts_are_pinned(self):
+        # sha256 of the counts' JSON, as `dict_pair_count` on each row gives them
+        inst = srsg.SrsgInstance(10, 55, 3, srsg.CostFn.linear(55))
+        for workers in (1, 2):
+            counts = srsg.sample_pair_deviation_counts(inst, 10000, 1, workers)
+            assert hashlib.sha256(json.dumps(counts).encode()).hexdigest() == \
+                "cb92b49532572f6229604cc4f8a60ab96bf27b34e033072fadad195f9f6a972b"
+
+    @settings(max_examples=300)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**64))
+    def test_permutation_is_random_sample(self, n, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert srsg._permutation(ours.getrandbits, n) == theirs.sample(range(n), n)
+        assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=150)
+    @given(m=st.integers(2, 6), n=st.integers(2, 15), k=st.integers(2, 5),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @example(m=3, n=9, k=4, seed=0, data=None)  # q = 0
+    @example(m=6, n=4, k=5, seed=1, data=None)  # n < m
+    def test_counter_matches_pair_rule_and_dict_counter(self, m, n, k, seed, data):
+        inst = srsg.SrsgInstance(m, n, k, srsg.CostFn.linear(n))
+        assignment = srsg.sample_random_ne(inst, seed)
+        count = srsg.count_pair_deviations(inst, assignment)
+        assert count == sum(srsg.pair_deviates_structural(inst, assignment, i, j)
+                            for i, j in itertools.combinations(range(n), 2))
+        assert count == dict_pair_count(inst, assignment)
+        if data is not None:  # any rows, equilibrium or not
+            row = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+            rows = tuple(tuple(data.draw(row)) for _ in range(k))
+            assert srsg._structural_pair_count(inst, rows) == dict_pair_count(inst, rows)
+
+    @pytest.mark.parametrize("m,n,k", [(10, 55, 3), (3, 9, 4), (6, 4, 5), (4, 9, 3)])
+    def test_counts_are_sample_random_ne_counts(self, m, n, k):
+        inst = srsg.SrsgInstance(m, n, k, srsg.CostFn.linear(n))
+        counts = srsg.sample_pair_deviation_counts(inst, 200, 5)
+        assert counts == [
+            srsg.count_pair_deviations(
+                inst, srsg.sample_random_ne(inst, 5 * srsg._SEED_STRIDE + i))
+            for i in range(200)]
+
+    def test_pool_starts_no_more_processes_than_jobs(self, small_instance, monkeypatch):
+        sizes = []
+        pool = multiprocessing.Pool
+
+        def recording_pool(processes=None, *args, **kwargs):
+            sizes.append(processes)
+            return pool(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+        counts = srsg.sample_pair_deviation_counts(small_instance, 3, 7, workers=8)
+        assert sizes == [3]
+        assert counts == srsg.sample_pair_deviation_counts(small_instance, 3, 7)
 
 
 class TestExpectedCounts:

@@ -64,11 +64,12 @@ class TestRoundTrips:
 
 @st.composite
 def tables(draw):
-    """Random tables of ints, rationals and short strings (none that reads
-    back as a number), with or without provenance."""
+    """Random tables of ints, rationals, finite floats and short strings
+    (none that reads back as a number), with or without provenance."""
     width = draw(st.integers(1, 4))
     text = st.text(max_size=6)
     cells = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=50),
+                      st.floats(allow_nan=False, allow_infinity=False),
                       text.filter(lambda s: isinstance(parse_cell(s), str)))
     columns = draw(st.lists(text, min_size=width, max_size=width))
     rows = draw(st.lists(st.tuples(*[cells] * width), max_size=5))
@@ -113,6 +114,22 @@ class TestRandomRoundTrips:
         # written as is, they would read back as an int, a float or a Fraction
         with pytest.raises(InputError):
             ResultTable(("x",), [(cell,)]).render(render)
+
+    @pytest.mark.parametrize("render", ["csv", "json"])
+    @pytest.mark.parametrize("cell", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_floats_are_refused(self, render, cell):
+        # CSV would read them back as the strings "inf"/"nan", and JSON would
+        # write the non-standard Infinity/NaN
+        with pytest.raises(InputError):
+            ResultTable(("x",), [(cell,)]).render(render)
+
+    def test_rows_without_columns_are_refused_in_csv(self):
+        # every such row is an empty CSV record, which reads back as no row
+        with pytest.raises(InputError):
+            ResultTable((), [(), ()]).to_csv()
+        assert ResultTable.from_csv(ResultTable((), []).to_csv()) == ResultTable(())
+        table = ResultTable((), [(), ()])
+        assert typed(ResultTable.from_json(table.to_json())) == typed(table)
 
 
 class TestDecimalColumns:
