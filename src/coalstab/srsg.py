@@ -288,28 +288,24 @@ def pair_deviates_structural(inst: SrsgInstance, assignment: Sequence,
     return sum(1 for _, tag in shared if tag == "full") >= 2
 
 
-def _full_groups(inst: SrsgInstance, groups) -> list:
-    """The groups that fill an overfull resource, as sets (none if q = 0)."""
+def _shared_full_pairs(inst: SrsgInstance, steps) -> int:
+    """Count pairs in one full group at two or more steps; `steps` holds
+    each step's m groups.  Each full group's pairs go into `seen` the first
+    time and into `twice` after, so a pair counts once however often it
+    meets: k*q*C(full_load, 2) pair lookups at an equilibrium."""
     if inst.q == 0:
-        return []
+        return 0
     full = inst.full_load
-    return [set(g) for g in groups if len(g) == full]
-
-
-def _shared_full_pairs(steps: list) -> int:
-    """Count pairs in one full group at two or more steps; `steps[t]` holds
-    step t's full groups.  A pair counts once however often it meets, so
-    every two steps' groups are intersected and the pairs of each
-    intersection collected in a set."""
-    pairs = set()
-    for t, groups in enumerate(steps):
-        for later in steps[t + 1:]:
-            for a in groups:
-                for b in later:
-                    both = a & b
-                    if len(both) > 1:  # mostly 0 or 1 agents: no pair, no sort
-                        pairs.update(itertools.combinations(sorted(both), 2))
-    return len(pairs)
+    seen, twice = set(), set()
+    for groups in steps:
+        for group in groups:
+            if len(group) == full:
+                for pair in itertools.combinations(sorted(group), 2):
+                    if pair in seen:
+                        twice.add(pair)
+                    else:
+                        seen.add(pair)
+    return len(twice)
 
 
 def _structural_pair_count(inst: SrsgInstance, assignment: Assignment) -> int:
@@ -319,8 +315,8 @@ def _structural_pair_count(inst: SrsgInstance, assignment: Assignment) -> int:
         groups = [[] for _ in range(inst.m)]
         for agent, r in enumerate(row):
             groups[r].append(agent)
-        steps.append(_full_groups(inst, groups))
-    return _shared_full_pairs(steps)
+        steps.append(groups)
+    return _shared_full_pairs(inst, steps)
 
 
 def count_pair_deviations(inst: SrsgInstance, assignment: Sequence,
@@ -395,7 +391,7 @@ def _sample_counts_range(args) -> list:
     for i in range(start, stop):
         rng.seed(seed * _SEED_STRIDE + i)  # the state random.Random(...) has
         out.append(_shared_full_pairs(
-            [_full_groups(inst, _deal(inst, rng)) for _ in range(inst.k)]))
+            inst, [_deal(inst, rng) for _ in range(inst.k)]))
     return out
 
 
@@ -409,9 +405,9 @@ def sample_pair_deviation_counts(inst: SrsgInstance, samples: int, seed: int,
     `count_pair_deviations(inst, sample_random_ne(inst, seed * _SEED_STRIDE + i))`.
     The sampler gets there without building rows: it draws each step's
     permutation with its own copy of `random.Random.sample`, deals it into
-    chunks (`_deal`, as `sample_random_ne` does) and counts the pairs by
-    intersecting the full chunks of every two steps.  The pool starts no
-    more processes than it has jobs.
+    chunks (`_deal`, as `sample_random_ne` does) and passes the chunks
+    straight to the pair counter that `count_pair_deviations` uses.  The
+    pool starts no more processes than it has jobs.
     """
     if samples < 0:
         raise InputError("samples must be nonnegative")

@@ -215,7 +215,7 @@ def dict_pair_count(inst, assignment):
 
 
 class TestSampler:
-    """The sampler's own permutation draw and set-intersection counter
+    """The sampler's own permutation draw and seen/twice pair counter
     against `random.Random.sample`, the pair rule and the former counter."""
 
     def test_ten_thousand_counts_are_pinned(self):
@@ -250,7 +250,9 @@ class TestSampler:
             rows = tuple(tuple(data.draw(row)) for _ in range(k))
             assert srsg._structural_pair_count(inst, rows) == dict_pair_count(inst, rows)
 
-    @pytest.mark.parametrize("m,n,k", [(10, 55, 3), (3, 9, 4), (6, 4, 5), (4, 9, 3)])
+    # (30, 59, 10): many full groups of two, dealt in unsorted chunks
+    @pytest.mark.parametrize("m,n,k", [(10, 55, 3), (3, 9, 4), (6, 4, 5), (4, 9, 3),
+                                       (30, 59, 10)])
     def test_counts_are_sample_random_ne_counts(self, m, n, k):
         inst = srsg.SrsgInstance(m, n, k, srsg.CostFn.linear(n))
         counts = srsg.sample_pair_deviation_counts(inst, 200, 5)
