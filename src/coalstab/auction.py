@@ -294,15 +294,14 @@ def pair_deviates(inst: AuctionInstance, eq: str, k: int, j: int) -> bool:
     return j == k + 1 or pair_gain(inst, eq, k, j) > 0
 
 
-def simulate_pair_deviation(inst: AuctionInstance, eq: str, k: int, j: int,
-                            eps=0) -> Fraction:
+def simulate_pair_deviation(inst: AuctionInstance, eq: str, k: int,
+                            j: int) -> Fraction:
     """Direct route to agent k's post-move utility: build the deviated bid
     vector's outcome by construction (k holds slot j-1 and pays what j bids).
     Returns u'(k)."""
     bids = equilibrium_bids(inst, eq)
     _check_pair(inst, k, j)
-    new_price = bid_at(bids, j + 1) + Fraction(eps)
-    return (inst.value(k) - new_price) * inst.ctr(j - 1)
+    return (inst.value(k) - bid_at(bids, j + 1)) * inst.ctr(j - 1)
 
 
 def _scaled(values) -> list:

@@ -85,6 +85,16 @@ def _emit(table: ResultTable, args) -> None:
     _write_output(text, args.out)
 
 
+def _emit_or_cut(table: ResultTable, args, cut) -> int:
+    """Write the table, finished rows only after a budget cut; `cut` is then
+    the error record's detail and the exit code is 3."""
+    _emit(table, args)
+    if cut is None:
+        return 0
+    _error_record("budget exceeded", cut)
+    return 3
+
+
 def _write_output(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
@@ -104,22 +114,18 @@ def cmd_score(args) -> int:
     profile = profiles[args.profile]
     table = ResultTable(("profile", "kind", "r", "count"),
                         provenance=_provenance(args, "score"))
-    truncated = False
+    cut = None
     try:
         vector = games.score_vector(game, profile, args.kind, args.rmax,
                                     args.budget)
     except BudgetExceededError as exc:
-        truncated = True
+        cut = {"game": args.game}
         vector = exc.partial
         table.provenance["truncated"] = (f"size {vector.r_max + 1}: "
                                          f"budget exceeded: {exc}")
     for r in range(1, vector.r_max + 1):
         table.append(args.profile, args.kind, r, vector.count(r))
-    _emit(table, args)
-    if truncated:
-        _error_record("budget exceeded", {"game": args.game})
-        return 3
-    return 0
+    return _emit_or_cut(table, args, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +139,13 @@ def _parse_cost(text: str, n: int) -> srsg.CostFn:
 
 
 def cmd_srsg(args) -> int:
+    if args.samples < 0:
+        raise InputError("samples must be nonnegative")
     inst = srsg.SrsgInstance(args.m, args.n, args.k, _parse_cost(args.cost, args.n))
     methods = ("structural", "bruteforce") if args.method == "both" else (args.method,)
     table = ResultTable(("profile", "r", "count", "method"),
                         provenance=_provenance(args, "srsg", args.seed))
-    truncated = False
+    cut = None
     try:
         if args.profile == "random":
             if "bruteforce" in methods:
@@ -158,13 +166,9 @@ def cmd_srsg(args) -> int:
                 table.append(args.profile, 2,
                              srsg.count_pair_deviations(inst, a, method), method)
     except BudgetExceededError as exc:
-        truncated = True
+        cut = {"m": args.m, "n": args.n, "k": args.k}
         table.provenance["truncated"] = f"budget exceeded: {exc}"
-    _emit(table, args)
-    if truncated:
-        _error_record("budget exceeded", {"m": args.m, "n": args.n, "k": args.k})
-        return 3
-    return 0
+    return _emit_or_cut(table, args, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +305,19 @@ def cmd_sweep(args) -> int:
         lo_expr, _, hi_expr = args.n.partition(":")
         builder = {"repeat": srsg.build_repeat_ne,
                    "scatter": srsg.build_scatter_ne}[args.profile]
-        for m in parse_range(args.m):
-            n_lo, n_hi = eval_expr(lo_expr, m), eval_expr(hi_expr or lo_expr, m)
-            for n in range(n_lo, n_hi + 1):
-                inst = srsg.SrsgInstance(m, n, args.k, srsg.CostFn.linear(n))
-                a = builder(inst)
-                count = srsg.count_pair_deviations(inst, a, args.method)
-                table.append(m, n, args.k, args.profile, 2, count, args.method)
-        _emit(table, args)
-        return 0
+        cut = None
+        try:
+            for m in parse_range(args.m):
+                n_lo, n_hi = eval_expr(lo_expr, m), eval_expr(hi_expr or lo_expr, m)
+                for n in range(n_lo, n_hi + 1):
+                    inst = srsg.SrsgInstance(m, n, args.k, srsg.CostFn.linear(n))
+                    a = builder(inst)
+                    count = srsg.count_pair_deviations(inst, a, args.method)
+                    table.append(m, n, args.k, args.profile, 2, count, args.method)
+        except BudgetExceededError as exc:
+            cut = {"m": args.m, "n": args.n, "k": args.k}
+            table.provenance["truncated"] = f"m {m}, n {n}: budget exceeded: {exc}"
+        return _emit_or_cut(table, args, cut)
     table = ResultTable(("v_shape", "x_shape", "s", "eq", "d2", "m2"),
                         provenance=_provenance(args, "sweep"))
     for s in parse_range(args.s):

@@ -32,16 +32,6 @@ _MODES = (FILTERED, CLAMPED)
 
 
 @dataclass(frozen=True)
-class ReserveConfig:
-    c: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.c < 0:
-            raise InputError("reserve price must be nonnegative")
-
-
-@dataclass(frozen=True)
 class VcgStarConfig:
     """Randomised reserve: with probability q_reserve the reserve is uniform
     on [0, v_max], otherwise 0.  q_reserve = 0 is allowed as the degenerate
@@ -112,7 +102,7 @@ def reserve_vcg(inst: AuctionInstance, c, mode: str = FILTERED,
     """
     if mode not in _MODES:
         raise InputError(f"mode must be one of {_MODES}")
-    c = c.c if isinstance(c, ReserveConfig) else Fraction(c)
+    c = Fraction(c)
     if c < 0:
         raise InputError("reserve price must be nonnegative")
     reports, order = _ranked_reports(inst, reports)
@@ -150,40 +140,33 @@ def expected_utilities_vcg_star(inst: AuctionInstance, cfg: VcgStarConfig,
     """Exact expected utility of every bidder under the randomised reserve.
 
     Utility is affine in the reserve between consecutive report values, so
-    the integral over [0, v_max] is a finite sum of midpoint evaluations.
+    the integral over [0, v_max] is a finite sum of midpoint evaluations
+    (`_expected_utility`, once per bidder on one ranking and one breakpoint
+    list).
     """
-    reports, _ = _ranked_reports(inst, reports)
+    reports, ranked = _ranked_reports(inst, reports)
     v_max = cfg.resolved_v_max(inst)
     if any(r >= v_max for r in reports):
         raise InputError("every report must stay below v_max")
-    q = cfg.q_reserve
-    base = reserve_vcg(inst, 0, FILTERED, reports).utilities
-    if q == 0:
-        return base
-    acc = [Fraction(0)] * inst.n
     points = _reserve_breakpoints(reports, v_max)
-    for lo, hi in zip(points, points[1:]):
-        mid = (lo + hi) / 2
-        piece = reserve_vcg(inst, mid, FILTERED, reports).utilities
-        width = hi - lo
-        for i in range(inst.n):
-            acc[i] += width * piece[i]
-    return tuple((1 - q) * base[i] + q * acc[i] / v_max for i in range(inst.n))
+    return tuple(_expected_utility(inst, cfg.q_reserve, v_max, reports, ranked,
+                                   points, i)
+                 for i in range(inst.n))
 
 
-def misreport_grid(inst: AuctionInstance, agent: int, refine: int = 1,
-                   v_max: Optional[Fraction] = None) -> tuple:
-    """Candidate misreports for one agent: evenly spaced interior points of
-    every cell between consecutive true values (2^refine pieces per cell)
-    plus two probes just beside the agent's own value.  Expected utility as a
-    function of one report is piecewise affine with breakpoints at the
-    others' reports, so cell-interior points witness every cell."""
+def misreport_grid(inst: AuctionInstance, agent: int, refine: int,
+                   v_max: Fraction) -> tuple:
+    """Candidate misreports in (0, v_max) for one agent: evenly spaced
+    interior points of every cell between consecutive true values (2^refine
+    pieces per cell) plus two probes just beside the agent's own value.
+    Expected utility as a function of one report is piecewise affine with
+    breakpoints at the others' reports, so cell-interior points witness
+    every cell."""
     if not 0 <= agent < inst.n:
         raise InputError(f"agent {agent} out of range")
     if refine < 1:
         raise InputError("refine must be at least 1")
-    top = v_max if v_max is not None else 2 * inst.values[0]
-    anchors = sorted(set(inst.values) | {Fraction(0), Fraction(top)})
+    anchors = sorted(set(inst.values) | {Fraction(0), Fraction(v_max)})
     pieces = 2 ** refine
     points = set()
     for lo, hi in zip(anchors, anchors[1:]):
@@ -196,16 +179,19 @@ def misreport_grid(inst: AuctionInstance, agent: int, refine: int = 1,
     points.add(own - delta)
     points.add(own + delta)
     points.discard(own)
-    return tuple(sorted(p for p in points if 0 < p < top))
+    return tuple(sorted(p for p in points if 0 < p < v_max))
 
 
-def _lean_expected_utility(inst: AuctionInstance, q: Fraction, v_max: Fraction,
-                           reports, ranked, points, agent: int) -> Fraction:
-    """Filtered-route expected utility of one agent, skipping outcome objects.
+def _expected_utility(inst: AuctionInstance, q: Fraction, v_max: Fraction,
+                      reports, ranked, points, agent: int) -> Fraction:
+    """Expected utility of one agent under the randomised reserve: the
+    library's one formula for it.
 
     `ranked` is the report-descending bidder order, `points` the reserve
-    breakpoints.  Must agree exactly with expected_utilities_vcg_star (the
-    tests compare the two paths)."""
+    breakpoints.  At reserve c the agent survives iff its report is at
+    least c, and then pays the filtered route's price: c plus the plain
+    payment rule on the surviving reports shifted down by c.  The tests
+    check it against `reserve_vcg` evaluated at every piece's midpoint."""
     own = reports[agent]
     rank = ranked.index(agent) + 1
     if rank > inst.s:
@@ -255,7 +241,8 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
                        refine: int = 1,
                        max_coalition: Optional[int] = None) -> SseVerdict:
     """Search every coalition and grid misreport for a weak deviation in
-    expected utility from truthful reporting.
+    expected utility from truthful reporting, over the coalitions of size
+    1..max_coalition (default min(n, 4); InputError outside 1..n).
 
     Certification is meaningful only with at least as many slots as bidders;
     with fewer slots the first loser is a free indifferent member and a
@@ -263,12 +250,14 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
     BudgetExceededError up front when the searched space (the sum over
     coalitions of their grid sizes' product) exceeds the search budget.
     """
+    if max_coalition is None:
+        max_coalition = min(inst.n, 4)
+    if not 1 <= max_coalition <= inst.n:
+        raise InputError(f"max_coalition {max_coalition} outside 1..{inst.n}")
     if inst.s < inst.n:
         warnings.warn("certification requires at least as many slots as "
                       "bidders; expect a deviation", ContractWarning,
                       stacklevel=2)
-    if max_coalition is None:
-        max_coalition = inst.n if inst.n <= 4 else 4
     v_max = cfg.resolved_v_max(inst)
     grids = [misreport_grid(inst, i, refine, v_max) for i in range(inst.n)]
     check_budget(sum(math.prod(len(grids[i]) for i in members)
@@ -288,7 +277,7 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
             yield reports, ranked, _reserve_breakpoints(reports, v_max)
 
     def expected(i, candidate):
-        return _lean_expected_utility(inst, cfg.q_reserve, v_max, *candidate, i)
+        return _expected_utility(inst, cfg.q_reserve, v_max, *candidate, i)
 
     for size in range(1, max_coalition + 1):
         for members in itertools.combinations(range(inst.n), size):

@@ -138,7 +138,7 @@ def test_c06_pair_move_formula_equals_simulation():
         for k in range(1, s + 1):
             for j in range(k + 1, s + 2):
                 before = outcome.utilities[k - 1]
-                after = auction.simulate_pair_deviation(inst, "le", k, j, 0)
+                after = auction.simulate_pair_deviation(inst, "le", k, j)
                 assert auction.pair_gain(inst, "le", k, j) == after - before
     report("c06 closed-form pair gain = simulated gain on every pair",
            time.monotonic() - start, 30)

@@ -173,7 +173,7 @@ class TestPairPredicates:
         # bidder 4 cannot shade below bidder 5's bid, so bidder 2 pays it
         bids = auction.le_bids(six_bidders)
         before = auction.gsp_outcome(six_bidders, bids).utilities[1]
-        assert auction.simulate_pair_deviation(six_bidders, "le", 2, 4, 0) == before == 3
+        assert auction.simulate_pair_deviation(six_bidders, "le", 2, 4) == before == 3
         assert auction.exhaustive_bid_search(six_bidders, bids, (2, 4), "weak", 4) is None
 
     @pytest.mark.xfail(strict=True, reason="pair_gain overcounts when n > s+1: it "
@@ -181,7 +181,7 @@ class TestPairPredicates:
                        "and gives 2 where the gain is 0")
     def test_delta_formula_equals_simulation_past_rank_s_plus_1(self, six_bidders):
         before = auction.gsp_outcome(six_bidders, auction.le_bids(six_bidders)).utilities[1]
-        after = auction.simulate_pair_deviation(six_bidders, "le", 2, 4, 0)
+        after = auction.simulate_pair_deviation(six_bidders, "le", 2, 4)
         assert auction.pair_gain(six_bidders, "le", 2, 4) == after - before
 
     def test_two_apart_pairs_deviate_at_upper(self):

@@ -73,6 +73,16 @@ class TestSrsgCommand:
         assert len(table.rows) == 5
         assert table.provenance["seed"] == "11"
 
+    @pytest.mark.parametrize("method", ["structural", "bruteforce", "both"])
+    def test_negative_samples_rejected(self, capsys, method):
+        code, out, err = run_cli(capsys, "srsg", "--m", "2", "--n", "3", "--k", "2",
+                                 "--profile", "random", "--samples", "-5",
+                                 "--method", method)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip()) == {"error": "InputError",
+                                           "detail": "samples must be nonnegative"}
+
 
 class TestAuctionCommand:
     def test_pair_count_row(self, capsys):
@@ -171,6 +181,22 @@ class TestSweepCommand:
         for m, n, k, profile, r, count, method in table.rows:
             q, full = n % m, math.ceil(n / m)
             assert count == q * math.comb(full, 2)
+
+    def test_budget_cut_keeps_finished_rows(self, monkeypatch, capsys):
+        # m = 4, n = 5 is the first brute-force search past 1000 joint actions
+        monkeypatch.setenv("COALSTAB_BUDGET", "1000")
+        code, out, err = run_cli(capsys, "sweep", "srsg", "--m", "2:6",
+                                 "--n", "m+1:m+2", "--k", "3",
+                                 "--method", "bruteforce")
+        assert code == 3
+        assert json.loads(err.strip())["error"] == "budget exceeded"
+        table = ResultTable.from_csv(out)
+        assert [row[:2] for row in table.rows] == [(2, 3), (2, 4), (3, 4), (3, 5)]
+        for m, n, k, _, _, count, _ in table.rows:
+            inst = srsg.SrsgInstance(m, n, k, srsg.CostFn.linear(n))
+            assert count == srsg.count_pair_deviations(
+                inst, srsg.build_repeat_ne(inst), "structural")
+        assert table.provenance["truncated"].startswith("m 4, n 5: budget exceeded")
 
     def test_auction_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "auction", "--s", "10:20:10")

@@ -58,11 +58,6 @@ class TestFixedReserve:
             out = reserve.reserve_vcg(inst, c, reserve.FILTERED)
             assert all(p >= c for p in out.payments)
 
-    def test_config_object_accepted(self, tiny):
-        direct = reserve.reserve_vcg(tiny, 3)
-        via_config = reserve.reserve_vcg(tiny, reserve.ReserveConfig(3))
-        assert direct == via_config
-
     def test_validation(self, tiny):
         with pytest.raises(InputError):
             reserve.reserve_vcg(tiny, -1)
@@ -70,8 +65,6 @@ class TestFixedReserve:
             reserve.reserve_vcg(tiny, 1, "other")
         with pytest.raises(InputError):
             reserve.reserve_vcg(tiny, 1, reports=(5, 5, 1))
-        with pytest.raises(InputError):
-            reserve.ReserveConfig(-2)
 
 
 class TestExpectedUtilities:
@@ -140,25 +133,48 @@ class TestTruthTellingSearch:
             assert verdict.certified
 
     def test_search_path_matches_public_expected_utilities(self):
+        def midpoint_integral(inst, q, v_max, reports):
+            """The reference: the fixed-reserve auction (filtered route) at
+            reserve 0 and at the midpoint of every piece between the
+            breakpoints, where utility is affine in the reserve."""
+            base = reserve.reserve_vcg(inst, 0, reserve.FILTERED, reports).utilities
+            points = sorted({Fraction(0), v_max} | {r for r in reports if 0 < r < v_max})
+            acc = [Fraction(0)] * inst.n
+            for lo, hi in zip(points, points[1:]):
+                piece = reserve.reserve_vcg(inst, (lo + hi) / 2, reserve.FILTERED,
+                                            reports).utilities
+                for i in range(inst.n):
+                    acc[i] += (hi - lo) * piece[i]
+            return tuple((1 - q) * base[i] + q * acc[i] / v_max for i in range(inst.n))
+
         rng = random.Random(5)
+        shuffler = random.Random(6)
+        overtaken = 0
         for _ in range(100):
             s, n = rng.randrange(1, 6), rng.randrange(2, 7)
             inst = random_auction(rng, s, n)
             v_max = 4 * inst.values[0]
             q = Fraction(rng.randrange(0, 4), 3)
-            reports = [Fraction(r, 2) for r in
+            ordered = [Fraction(r, 2) for r in
                        sorted(rng.sample(range(1, int(2 * v_max)), n), reverse=True)]
+            shuffled = shuffler.sample(ordered, n)
             cfg = reserve.VcgStarConfig(q, v_max)
-            public = reserve.expected_utilities_vcg_star(inst, cfg, reports)
-            ranked = sorted(range(n), key=reports.__getitem__, reverse=True)
-            points = reserve._reserve_breakpoints(reports, v_max)
-            for agent in range(n):
-                assert reserve._lean_expected_utility(
-                    inst, q, v_max, reports, ranked, points, agent) == public[agent]
+            for reports in (ordered, shuffled):
+                reference = midpoint_integral(inst, q, v_max, reports)
+                assert reserve.expected_utilities_vcg_star(inst, cfg, reports) == reference
+                ranked = sorted(range(n), key=reports.__getitem__, reverse=True)
+                points = reserve._reserve_breakpoints(reports, v_max)
+                for agent in range(n):
+                    assert reserve._expected_utility(
+                        inst, q, v_max, reports, ranked, points, agent) == reference[agent]
+            overtaken += shuffled != ordered
+        assert overtaken >= 50  # most shuffles let a bidder out-report a higher value
 
     def test_budget_caps_the_searched_space(self, square, monkeypatch):
         cfg = reserve.VcgStarConfig(Fraction(1, 2))
-        sizes = [len(reserve.misreport_grid(square, i)) for i in range(square.n)]
+        v_max = cfg.resolved_v_max(square)
+        sizes = [len(reserve.misreport_grid(square, i, 1, v_max))
+                 for i in range(square.n)]
         space = sum(math.prod(sizes[i] for i in members)
                     for r in range(1, square.n + 1)
                     for members in itertools.combinations(range(square.n), r))
@@ -180,6 +196,14 @@ class TestTruthTellingSearch:
         assert not verdict.certified
         assert verdict.members == (0, 1)  # the two best-paid winners collude
 
+    @pytest.mark.parametrize("max_coalition", [0, -1, 4])
+    def test_coalition_cap_outside_one_to_n_rejected(self, square, max_coalition):
+        # VcgStarConfig(0) has the (0, 1) deviation, so an empty search
+        # must not read as a certificate
+        with pytest.raises(InputError):
+            reserve.check_truthful_sse(square, reserve.VcgStarConfig(0),
+                                       max_coalition=max_coalition)
+
     def test_spare_bidder_breaks_certification(self):
         inst = auction.AuctionInstance(3, (8, 6, 4, 2), (4, 2, 1))
         with warnings.catch_warnings(record=True) as caught:
@@ -191,10 +215,11 @@ class TestTruthTellingSearch:
         assert inst.n - 1 in verdict.members  # the slotless bidder freerides
 
     def test_grid_points_avoid_values_and_stay_in_range(self, square):
+        v_max = 2 * square.values[0]
         for agent in range(square.n):
             for refine in (1, 2, 3):
-                grid = reserve.misreport_grid(square, agent, refine)
-                assert all(0 < g < 2 * square.values[0] for g in grid)
+                grid = reserve.misreport_grid(square, agent, refine, v_max)
+                assert all(0 < g < v_max for g in grid)
                 assert square.values[agent] not in grid
                 assert len(grid) >= 2 ** refine
 
