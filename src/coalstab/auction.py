@@ -86,11 +86,6 @@ class AuctionInstance:
             raise InputError("this operation needs more bidders than slots")
 
 
-def bid_at(bids: Sequence, rank: int) -> Fraction:
-    """rank-th entry of a rank-sorted bid vector, 0 beyond the end."""
-    return Fraction(bids[rank - 1]) if 1 <= rank <= len(bids) else Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # Truthful welfare payments
 # ---------------------------------------------------------------------------
@@ -184,12 +179,9 @@ def _boundary_bids(inst: AuctionInstance, upper: bool) -> tuple:
     Ranks 2..s+1 follow the defining recursion; rank 1 bids its value (any
     bid above rank 2 is equilibrium-equivalent), falling back to twice the
     rank-2 bid in the single-slot upper corner where the recursion reaches
-    v_1 itself.  Bidders below rank s+1 bid their values, rescaled if that
-    would break strict order (it cannot for these two profiles, but the
-    guard keeps the constructor total).
+    v_1 itself.  Bidders below rank s+1 bid their values.
     """
     inst.require_competition()
-    s = inst.s
     # b_i x_{i-1} is the welfare-price sum of rank i-1; UE attaches v_{j-1}
     # to rank j, so the values shift down one rank
     values = inst.values[:1] + inst.values if upper else inst.values
@@ -197,12 +189,7 @@ def _boundary_bids(inst: AuctionInstance, upper: bool) -> tuple:
     top = inst.value(1)
     if top <= tail[0]:
         top = 2 * tail[0]
-    out = [top, *tail]
-    if inst.n > s + 1:
-        scale = Fraction(1)
-        if inst.value(s + 2) >= tail[-1]:
-            scale = tail[-1] / (2 * inst.value(s + 2))
-        out.extend(scale * inst.value(i) for i in range(s + 2, inst.n + 1))
+    out = [top, *tail, *inst.values[inst.s + 1:]]
     if not _strictly_decreasing(out):
         raise AssertionError("boundary bid construction lost strict order")
     return tuple(out)
@@ -245,64 +232,10 @@ def verify_symmetric_ne(inst: AuctionInstance, bids: Sequence) -> bool:
 # slot j-1 while j shades her bid down to the bid below her; j's utility is
 # untouched and k trades slot k's margin for slot j-1's.  Whether that trade
 # helps is a closed-form comparison of two CTR-difference-weighted value
-# sums.  `pair_gain` evaluates it pair by pair in `Fraction`s and is the
-# oracle; the counters below run on scaled ints and need one binary search
-# per target rank j (see `_deviation_thresholds`).
+# sums, decided on scaled ints with one binary search per target rank j
+# (`_deviation_thresholds`).  Every pair and coalition answer below reads
+# those thresholds.
 # ---------------------------------------------------------------------------
-
-def _check_pair(inst: AuctionInstance, k: int, j: int) -> None:
-    if not (1 <= k < j <= inst.s + 1):
-        raise InputError(f"pair ({k},{j}) out of range for s={inst.s}")
-
-
-def _value_for(inst: AuctionInstance, eq: str, rank: int) -> Fraction:
-    """The value the boundary recursion attaches to rank `rank`."""
-    return inst.value(rank - 1) if eq == UE else inst.value(rank)
-
-
-def pair_gain(inst: AuctionInstance, eq: str, k: int, j: int) -> Fraction:
-    """Exact utility change of agent k when the pair (k, j) plays its one
-    available joint move (j shades to the bid below, k takes slot j-1).
-
-    Positive means the pair deviates.  Equals simulation exactly; the j = s+1
-    case treats the shaded bid as escapable to zero, which is exact when no
-    bidder holds rank s+2.
-    """
-    if eq not in _EQUILIBRIA:
-        raise InputError(f"equilibrium must be one of {_EQUILIBRIA}")
-    _check_pair(inst, k, j)
-    loss = Fraction(0)  # forfeited margin over slots k..j-2
-    for t in range(k + 1, j):
-        loss += (inst.ctr(t - 1) - inst.ctr(t)) * (inst.value(k) - _value_for(inst, eq, t))
-    a = inst.ctr(j - 1) - inst.ctr(j)
-    tail = Fraction(0)
-    if j <= inst.s:
-        acc = Fraction(0)
-        for i in range(j + 1, inst.s + 2):
-            acc += (inst.ctr(i - 1) - inst.ctr(i)) * _value_for(inst, eq, i)
-        tail = acc / inst.ctr(j)
-    gain = a * (_value_for(inst, eq, j) - tail) - loss
-    return gain
-
-
-def pair_deviates(inst: AuctionInstance, eq: str, k: int, j: int) -> bool:
-    """Neighbour pairs always have a (weak) deviation; distant pairs deviate
-    exactly when the forfeited margin is strictly outweighed."""
-    if eq not in _EQUILIBRIA:
-        raise InputError(f"equilibrium must be one of {_EQUILIBRIA}")
-    _check_pair(inst, k, j)
-    return j == k + 1 or pair_gain(inst, eq, k, j) > 0
-
-
-def simulate_pair_deviation(inst: AuctionInstance, eq: str, k: int,
-                            j: int) -> Fraction:
-    """Direct route to agent k's post-move utility: build the deviated bid
-    vector's outcome by construction (k holds slot j-1 and pays what j bids).
-    Returns u'(k)."""
-    bids = equilibrium_bids(inst, eq)
-    _check_pair(inst, k, j)
-    return (inst.value(k) - bid_at(bids, j + 1)) * inst.ctr(j - 1)
-
 
 def _scaled(values) -> list:
     """`Fraction`s times the lcm of their denominators: ints in the same
@@ -315,21 +248,23 @@ def _deviation_thresholds(inst: AuctionInstance, eq: str) -> list:
     """lo[j] for j = 2..s+1: the pair (k, j) deviates exactly when
     lo[j] <= k <= j-1 (lo[j] = j-1 when only the neighbour does).
 
-    `pair_gain` > 0 reads loss(k) < a_j (v'_j - T_j / x_j), where v' is the
-    value the boundary recursion attaches to a rank, W[t] the prefix sum
-    sum_{u=2..t} (x_{u-1}-x_u) v'_u, loss(k) = v_k (x_k - x_{j-1}) -
-    (W[j-1] - W[k]) the margin k forfeits, a_j = x_{j-1} - x_j and
-    T_j = W[s+1] - W[j].  CTRs and values are scaled once to ints (each by
-    the lcm of its denominators; both sides of the test scale alike) and
-    the test is multiplied by x_j > 0 (j <= s) to clear the division.
+    k's gain from the move is a_j (v'_j - T_j / x_j) - loss(k), and the
+    pair deviates when it is positive.  Here v' is the value the boundary
+    recursion attaches to a rank (v'_t = v_t at LE, v_{t-1} at UE), W[t]
+    the prefix sum sum_{u=2..t} (x_{u-1}-x_u) v'_u, loss(k) =
+    v_k (x_k - x_{j-1}) - (W[j-1] - W[k]) the margin k forfeits,
+    a_j = x_{j-1} - x_j and T_j = W[s+1] - W[j].  CTRs and values are
+    scaled once to ints (each by the lcm of its denominators; both sides of
+    the test scale alike) and the test is multiplied by x_j > 0 (j <= s) to
+    clear the division.
 
     For fixed j, loss(k) never increases with k:
     loss(k) - loss(k+1) = (v_k - v_{k+1}) (x_k - x_{j-1}) at LE and
     (v_k - v_{k+1}) (x_{k+1} - x_{j-1}) at UE, both >= 0 for k <= j-2.  So
     the deviating k form a suffix of 1..j-2 and one binary search per j finds
-    its start: O(s log s) int operations in all.  Every LE/UE counter reads
-    these thresholds, so each needs a loser (n > s), as the equilibrium
-    bids do.
+    its start: O(s log s) int operations in all.  Every LE/UE pair and
+    coalition answer reads these thresholds, so each needs a loser (n > s),
+    as the equilibrium bids do.
     """
     if eq not in _EQUILIBRIA:
         raise InputError(f"equilibrium must be one of {_EQUILIBRIA}")
@@ -356,12 +291,20 @@ def _deviation_thresholds(inst: AuctionInstance, eq: str) -> list:
     return lo
 
 
+def pair_deviates(inst: AuctionInstance, eq: str, k: int, j: int) -> bool:
+    """Whether the pair (k, j), 1 <= k < j <= s+1, has a joint deviation:
+    k >= lo[j].  Neighbour pairs always do."""
+    if not (1 <= k < j <= inst.s + 1):
+        raise InputError(f"pair ({k},{j}) out of range for s={inst.s}")
+    return k >= _deviation_thresholds(inst, eq)[j]
+
+
 def deviating_pairs(inst: AuctionInstance, eq: str) -> list:
     """All pairs (k, j), 1 <= k < j <= s+1, with a joint deviation, sorted.
 
     Every neighbour pair (k, k+1) deviates; a distant pair deviates exactly
-    when `pair_gain` is positive.  Exact int arithmetic, one threshold per
-    target rank: O(s log s) plus the length of the list.
+    when k >= lo[j].  Exact int arithmetic, one threshold per target rank:
+    O(s log s) plus the length of the list.
     """
     lo = _deviation_thresholds(inst, eq)
     targets = [[] for _ in range(inst.s + 1)]
@@ -467,29 +410,27 @@ def count_vcg_coalition_deviations(inst: AuctionInstance, r: int) -> int:
     return count
 
 
+def _has_deviating_pair(lo: list, s: int, members: Sequence) -> bool:
+    """Some pair (k, j) of members with j <= s+1 has k >= lo[j]."""
+    eligible = [rank for rank in members if rank <= s + 1]
+    return any(k >= lo[j] for k, j in itertools.combinations(eligible, 2))
+
+
 def coalition_deviates(inst: AuctionInstance, eq: str, members: Sequence) -> bool:
     """A coalition moves exactly when some pair inside it moves: the cheapest
     member is always indifferent and any extra member can free-ride, so joint
     gains reduce to pair gains."""
-    if eq not in _EQUILIBRIA:
-        raise InputError(f"equilibrium must be one of {_EQUILIBRIA}")
-    members = tuple(members)
+    lo = _deviation_thresholds(inst, eq)
     if not is_potential_coalition(members, inst.s, inst.n):
         raise ContractError("only potential coalitions are counted")
-    eligible = [r for r in members if r <= inst.s + 1]
-    return any(pair_deviates(inst, eq, k, j)
-               for k, j in itertools.combinations(eligible, 2))
+    return _has_deviating_pair(lo, inst.s, members)
 
 
 def count_coalition_deviations(inst: AuctionInstance, eq: str, r: int) -> int:
     """Number of size-r potential coalitions containing a deviating pair."""
     lo = _deviation_thresholds(inst, eq)
-    count = 0
-    for members in iter_potential_coalitions(inst.s, inst.n, r):
-        eligible = [rank for rank in members if rank <= inst.s + 1]
-        if any(k >= lo[j] for k, j in itertools.combinations(eligible, 2)):
-            count += 1
-    return count
+    return sum(_has_deviating_pair(lo, inst.s, members)
+               for members in iter_potential_coalitions(inst.s, inst.n, r))
 
 
 # ---------------------------------------------------------------------------

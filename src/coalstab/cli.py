@@ -60,7 +60,7 @@ def parse_shape(text: str, length: int) -> tuple:
 
 def build_instance(args) -> auction.AuctionInstance:
     s = args.s
-    n = args.n if args.n else 2 * s
+    n = args.n if args.n is not None else 2 * s
     values = parse_shape(args.v, n)
     ctrs = parse_shape(args.x, s)
     return auction.AuctionInstance(s, values, ctrs)
@@ -187,7 +187,7 @@ def cmd_auction(args) -> int:
             for x_shape in TABLE1_SHAPES:
                 inst = auction.AuctionInstance(
                     args.s,
-                    parse_shape(v_shape, args.n if args.n else 2 * args.s),
+                    parse_shape(v_shape, args.n if args.n is not None else 2 * args.s),
                     parse_shape(x_shape, args.s))
                 d2 = auction.count_pair_deviations(inst, args.eq)
                 table.append(v_shape, x_shape, args.s, d2, m2, d2 / m2)
@@ -221,9 +221,11 @@ def cmd_auction(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reserve(args) -> int:
-    if args.mode == "fixed" and args.check_sse:
-        raise InputError("--check-sse certifies the randomised reserve; "
-                         "it needs --mode star or star-lambda")
+    if args.check_sse and args.mode != "star":
+        raise InputError("--check-sse certifies the plain randomised reserve; "
+                         "it needs --mode star")
+    if args.mode == "star-lambda" and args.lam is None:
+        raise InputError("--mode star-lambda needs --lambda")
     inst = build_instance(args)
     report = {"provenance": _provenance(args, "reserve"), "mode": args.mode}
     cut = None
@@ -234,21 +236,20 @@ def cmd_reserve(args) -> int:
         report["payments"] = [games.rational_to_str(p) for p in out_f.payments]
         report["allocation"] = list(out_f.allocation)
         report["modes_agree"] = out_f == out_c
+    elif args.mode == "star-lambda":
+        lam = Fraction(args.lam)
+        ext = reserve.vcg_star_lambda(inst, lam)
+        report["extended_ctrs"] = [games.rational_to_str(x)
+                                   for x in ext.extended_ctrs]
+        report["payments"] = [games.rational_to_str(p) for p in ext.payments]
+        report["gap_bound"] = games.rational_to_str(
+            reserve.lambda_payment_gap_bound(inst, lam))
     else:
         cfg = reserve.VcgStarConfig(Fraction(args.q_reserve),
                                     Fraction(args.vmax) if args.vmax else None)
-        if args.mode == "star-lambda":
-            lam = reserve.LambdaConfig(Fraction(args.lam))
-            ext = reserve.vcg_star_lambda(inst, lam)
-            report["extended_ctrs"] = [games.rational_to_str(x)
-                                       for x in ext.extended_ctrs]
-            report["payments"] = [games.rational_to_str(p) for p in ext.payments]
-            report["gap_bound"] = games.rational_to_str(
-                reserve.lambda_payment_gap_bound(inst, lam))
-        else:
-            expected = reserve.expected_utilities_vcg_star(inst, cfg)
-            report["expected_utilities"] = [games.rational_to_str(u)
-                                            for u in expected]
+        expected = reserve.expected_utilities_vcg_star(inst, cfg)
+        report["expected_utilities"] = [games.rational_to_str(u)
+                                        for u in expected]
         if args.check_sse:
             try:
                 verdict = reserve.check_truthful_sse(inst, cfg, args.grid_refine)
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--check-sse", dest="check_sse", action="store_true",
                    help="certify truth-telling against weak coalition "
-                        "deviations (star and star-lambda modes only)")
+                        "deviations (star mode only)")
     p.add_argument("--grid-refine", dest="grid_refine", type=int, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_reserve)

@@ -55,22 +55,6 @@ class VcgStarConfig:
 
 
 @dataclass(frozen=True)
-class LambdaConfig:
-    """Slot-randomisation weight; must stay below 1/n to preserve slot order."""
-
-    lam: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        if self.lam <= 0:
-            raise InputError("lambda must be positive")
-
-    def validate_for(self, inst: AuctionInstance) -> None:
-        if self.lam >= Fraction(1, inst.n):
-            raise InputError("lambda must be smaller than 1/n")
-
-
-@dataclass(frozen=True)
 class ReserveOutcome:
     """Slots in report order: allocation[j-1] is the 0-based bidder in slot j."""
 
@@ -303,19 +287,21 @@ class LambdaExtension:
     payments: tuple
 
 
-def vcg_star_lambda(inst: AuctionInstance, cfg: LambdaConfig) -> LambdaExtension:
-    """Build the n-slot expected-CTR vector and its truthful payments.
+def vcg_star_lambda(inst: AuctionInstance, lam) -> LambdaExtension:
+    """Build the n-slot expected-CTR vector and its truthful payments for the
+    slot-randomisation weight lam, 0 < lam < 1/n.
 
     The original slot order survives because lam < 1/n forces
     (1-(n-s)*lam) * x_s > lam * x_s; the synthetic slots share one expected
     rate, which the payment rule tolerates (their pairwise CTR differences
     vanish from every sum).
     """
-    cfg.validate_for(inst)
+    lam = Fraction(lam)
+    if not 0 < lam < Fraction(1, inst.n):
+        raise InputError("lambda must lie strictly between 0 and 1/n")
     if inst.n <= inst.s:
         raise InputError("slot randomisation only applies when bidders "
                          "outnumber slots")
-    lam = cfg.lam
     extra = inst.n - inst.s
     shrunk = (1 - extra * lam) * inst.ctrs[-1]
     synthetic = lam * inst.ctrs[-1]
@@ -325,6 +311,6 @@ def vcg_star_lambda(inst: AuctionInstance, cfg: LambdaConfig) -> LambdaExtension
     return LambdaExtension(extended, welfare_prices(extended, inst.values))
 
 
-def lambda_payment_gap_bound(inst: AuctionInstance, cfg: LambdaConfig) -> Fraction:
+def lambda_payment_gap_bound(inst: AuctionInstance, lam) -> Fraction:
     """v_1 * n * lam, the advertised ceiling on any winner's payment shift."""
-    return inst.values[0] * inst.n * cfg.lam
+    return inst.values[0] * inst.n * Fraction(lam)

@@ -16,7 +16,8 @@ import pytest
 
 from coalstab import auction, games, reserve, srsg
 from coalstab.errors import ContractWarning
-from conftest import REPEAT, ROTATE, SPLIT, random_auction
+from conftest import (REPEAT, ROTATE, SPLIT, pair_gain, random_auction,
+                      simulate_pair_deviation)
 
 
 def report(label: str, elapsed: float, budget: float) -> None:
@@ -138,9 +139,11 @@ def test_c06_pair_move_formula_equals_simulation():
         for k in range(1, s + 1):
             for j in range(k + 1, s + 2):
                 before = outcome.utilities[k - 1]
-                after = auction.simulate_pair_deviation(inst, "le", k, j)
-                assert auction.pair_gain(inst, "le", k, j) == after - before
-    report("c06 closed-form pair gain = simulated gain on every pair",
+                after = simulate_pair_deviation(inst, "le", k, j)
+                assert pair_gain(inst, "le", k, j) == after - before
+                assert auction.pair_deviates(inst, "le", k, j) == (after > before)
+    report("c06 closed-form pair gain = simulated gain on every pair, "
+           "and the pair predicate reads its sign",
            time.monotonic() - start, 30)
 
 
@@ -282,7 +285,7 @@ def test_c13_slot_randomisation_payment_gap():
         inst = random_auction(rng, s, rng.randrange(s + 1, 2 * s + 2))
         original = auction.vcg_payments(inst)
         for denom in (2, 4, 10):
-            lam = reserve.LambdaConfig(Fraction(1, denom * inst.n))
+            lam = Fraction(1, denom * inst.n)
             ext = reserve.vcg_star_lambda(inst, lam)
             head = ext.extended_ctrs[:inst.s + 1]
             assert all(a > b for a, b in zip(head, head[1:]))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coalstab import auction, games
 from coalstab.errors import BudgetExceededError, ContractError, InputError, TieError
-from conftest import random_auction
+from conftest import pair_gain, random_auction, simulate_pair_deviation
 
 
 @st.composite
@@ -160,8 +160,8 @@ class TestPairPredicates:
             for k in range(1, s + 1):
                 for j in range(k + 1, s + 2):
                     before = outcome.utilities[k - 1]
-                    after = auction.simulate_pair_deviation(inst, "le", k, j)
-                    assert auction.pair_gain(inst, "le", k, j) == after - before
+                    after = simulate_pair_deviation(inst, "le", k, j)
+                    assert pair_gain(inst, "le", k, j) == after - before
 
     @pytest.fixture
     def six_bidders(self):
@@ -173,16 +173,16 @@ class TestPairPredicates:
         # bidder 4 cannot shade below bidder 5's bid, so bidder 2 pays it
         bids = auction.le_bids(six_bidders)
         before = auction.gsp_outcome(six_bidders, bids).utilities[1]
-        assert auction.simulate_pair_deviation(six_bidders, "le", 2, 4) == before == 3
+        assert simulate_pair_deviation(six_bidders, "le", 2, 4) == before == 3
         assert auction.exhaustive_bid_search(six_bidders, bids, (2, 4), "weak", 4) is None
 
-    @pytest.mark.xfail(strict=True, reason="pair_gain overcounts when n > s+1: it "
-                       "prices the (k, s+1) move as if bidder s+1 could shade to 0, "
-                       "and gives 2 where the gain is 0")
+    @pytest.mark.xfail(strict=True, reason="the thresholds overcount when n > s+1: "
+                       "they price the (k, s+1) move as if bidder s+1 could shade "
+                       "to 0, so pair (2, 4) deviates although its gain is 0")
     def test_delta_formula_equals_simulation_past_rank_s_plus_1(self, six_bidders):
         before = auction.gsp_outcome(six_bidders, auction.le_bids(six_bidders)).utilities[1]
-        after = auction.simulate_pair_deviation(six_bidders, "le", 2, 4)
-        assert auction.pair_gain(six_bidders, "le", 2, 4) == after - before
+        after = simulate_pair_deviation(six_bidders, "le", 2, 4)
+        assert auction.pair_deviates(six_bidders, "le", 2, 4) == (after > before)
 
     def test_two_apart_pairs_deviate_at_upper(self):
         rng = random.Random(7)
@@ -200,7 +200,7 @@ class TestPairPredicates:
             outcome = auction.gsp_outcome(inst, auction.ue_bids(inst))
             for k in range(1, s + 1):
                 for j in range(k + 2, s + 2):
-                    gained = auction.simulate_pair_deviation(inst, "ue", k, j) \
+                    gained = simulate_pair_deviation(inst, "ue", k, j) \
                         > outcome.utilities[k - 1]
                     assert auction.pair_deviates(inst, "ue", k, j) == gained
 
@@ -209,6 +209,16 @@ class TestPairPredicates:
             auction.pair_deviates(tiny, "le", 2, 2)
         with pytest.raises(InputError):
             auction.pair_deviates(tiny, "le", 1, 5)
+
+    @pytest.mark.parametrize("eq", [auction.LE, auction.UE])
+    @pytest.mark.parametrize("values", [(6, 4, 2), (6, 4)], ids=["n=s", "n<s"])
+    def test_predicates_need_a_loser(self, eq, values):
+        # with no loser there is no equilibrium to judge
+        inst = auction.AuctionInstance(3, values, (4, 2, 1))
+        with pytest.raises(InputError, match="more bidders than slots"):
+            auction.pair_deviates(inst, eq, 1, 2)
+        with pytest.raises(InputError, match="more bidders than slots"):
+            auction.coalition_deviates(inst, eq, (1, 2))
 
     def test_context_weights_average_inside_value_range(self):
         # the CTR-difference weights (x_{i-1}-x_i)/x_j, i > j, sum to 1, and
@@ -269,10 +279,10 @@ class TestPairCounts:
         n = data.draw(st.integers(s + 1, 2 * s + 2), label="n")
         inst = auction.AuctionInstance(s, data.draw(decreasing_rationals(n)),
                                        data.draw(decreasing_rationals(s)))
-        direct = [(k, j)
-                  for k in range(1, s + 1)
-                  for j in range(k + 1, s + 2)
-                  if auction.pair_deviates(inst, eq, k, j)]
+        pairs = [(k, j) for k in range(1, s + 1) for j in range(k + 1, s + 2)]
+        direct = [(k, j) for k, j in pairs
+                  if j == k + 1 or pair_gain(inst, eq, k, j) > 0]
+        assert [p for p in pairs if auction.pair_deviates(inst, eq, *p)] == direct
         assert auction.deviating_pairs(inst, eq) == direct
         assert auction.count_pair_deviations(inst, eq) == len(direct)
         moving = set(direct)

@@ -122,6 +122,13 @@ class TestAuctionCommand:
         code, _, err = run_cli(capsys, "auction", "--s", "3")
         assert code == 1 and "error" in json.loads(err.strip())
 
+    @pytest.mark.parametrize("action", [("--count-pairs",), ("--table1",)])
+    def test_zero_bidders_is_not_the_default(self, capsys, action):
+        # --n 0 is an input to reject, not a request for the default 2s
+        code, out, err = run_cli(capsys, "auction", "--s", "3", "--n", "0", *action)
+        assert code == 1 and out == ""
+        assert json.loads(err.strip())["error"] == "InputError"
+
 
 class TestReserveCommand:
     def test_fixed_mode_reports_agreement(self, capsys):
@@ -156,6 +163,23 @@ class TestReserveCommand:
         assert code == 0
         report = json.loads(out)
         assert len(report["extended_ctrs"]) == 4
+
+    def test_star_lambda_mode_needs_lambda(self, capsys):
+        code, out, err = run_cli(capsys, "reserve", "--s", "2", "--n", "4",
+                                 "--v", "9,7,3,1", "--x", "8,4",
+                                 "--mode", "star-lambda")
+        assert code == 1 and out == ""
+        assert "--lambda" in json.loads(err.strip())["detail"]
+
+    def test_star_lambda_mode_rejects_check_sse(self, capsys):
+        # the certification judges the plain s-slot reserve, not the
+        # slot-randomised auction this mode reports
+        code, out, err = run_cli(capsys, "reserve", "--s", "2", "--n", "4",
+                                 "--v", "9,7,3,1", "--x", "8,4",
+                                 "--mode", "star-lambda", "--lambda", "1/8",
+                                 "--check-sse")
+        assert code == 1 and out == ""
+        assert "--check-sse" in json.loads(err.strip())["detail"]
 
     def test_budget_env_caps_the_certification_search(self, monkeypatch, capsys):
         monkeypatch.setenv("COALSTAB_BUDGET", "10")

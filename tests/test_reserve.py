@@ -227,7 +227,7 @@ class TestTruthTellingSearch:
 class TestSlotRandomisation:
     def test_extension_structure(self):
         inst = auction.AuctionInstance(2, (9, 7, 3, 1), (8, 4))
-        ext = reserve.vcg_star_lambda(inst, reserve.LambdaConfig(Fraction(1, 8)))
+        ext = reserve.vcg_star_lambda(inst, Fraction(1, 8))
         assert len(ext.extended_ctrs) == inst.n
         assert ext.extended_ctrs[:1] == inst.ctrs[:1]
         assert ext.extended_ctrs[1] == (1 - 2 * Fraction(1, 8)) * 4
@@ -239,7 +239,7 @@ class TestSlotRandomisation:
             s = rng.randrange(2, 6)
             inst = random_auction(rng, s, rng.randrange(s + 1, 2 * s + 2))
             lam = Fraction(1, rng.randrange(inst.n + 1, 4 * inst.n))
-            ext = reserve.vcg_star_lambda(inst, reserve.LambdaConfig(lam))
+            ext = reserve.vcg_star_lambda(inst, lam)
             head = ext.extended_ctrs[:inst.s + 1]
             assert all(a > b for a, b in zip(head, head[1:]))
 
@@ -251,8 +251,8 @@ class TestSlotRandomisation:
             original = auction.vcg_payments(inst)
             for denom in (2, 4, 10, 10 ** 6):
                 lam = Fraction(1, denom * inst.n)
-                ext = reserve.vcg_star_lambda(inst, reserve.LambdaConfig(lam))
-                bound = reserve.lambda_payment_gap_bound(inst, reserve.LambdaConfig(lam))
+                ext = reserve.vcg_star_lambda(inst, lam)
+                bound = reserve.lambda_payment_gap_bound(inst, lam)
                 for i in range(inst.s):
                     per_click = abs(ext.payments[i] - original[i])
                     assert per_click <= bound
@@ -261,9 +261,9 @@ class TestSlotRandomisation:
     def test_lambda_validation(self):
         inst = auction.AuctionInstance(2, (9, 7, 3, 1), (8, 4))
         with pytest.raises(InputError):
-            reserve.vcg_star_lambda(inst, reserve.LambdaConfig(Fraction(1, 4)))
+            reserve.vcg_star_lambda(inst, Fraction(1, 4))
         with pytest.raises(InputError):
-            reserve.LambdaConfig(0)
+            reserve.vcg_star_lambda(inst, 0)
         square = auction.AuctionInstance(3, (6, 4, 2), (4, 2, 1))
         with pytest.raises(InputError):
-            reserve.vcg_star_lambda(square, reserve.LambdaConfig(Fraction(1, 100)))
+            reserve.vcg_star_lambda(square, Fraction(1, 100))
