@@ -141,6 +141,8 @@ def _parse_cost(text: str, n: int) -> srsg.CostFn:
 def cmd_srsg(args) -> int:
     if args.samples < 0:
         raise InputError("samples must be nonnegative")
+    if args.profile == "random" and args.seed < 0:
+        raise InputError("seed must be nonnegative")
     inst = srsg.SrsgInstance(args.m, args.n, args.k, _parse_cost(args.cost, args.n))
     methods = ("structural", "bruteforce") if args.method == "both" else (args.method,)
     table = ResultTable(("profile", "r", "count", "method"),

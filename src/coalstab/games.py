@@ -35,14 +35,15 @@ DEFAULT_SEARCH_BUDGET = 10**8
 _BUDGET_ENV = "COALSTAB_BUDGET"
 
 
-def search_budget(budget: Optional[int] = None) -> Optional[int]:
-    """Resolve the effective search budget (argument > env > default)."""
-    if budget is not None:
-        return budget
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw:
-        return int(raw)
-    return DEFAULT_SEARCH_BUDGET
+def search_budget(budget: Optional[int] = None) -> int:
+    """Resolve the effective search budget (argument > env > default); a
+    negative budget is an InputError."""
+    if budget is None:
+        raw = os.environ.get(_BUDGET_ENV)
+        budget = int(raw) if raw else DEFAULT_SEARCH_BUDGET
+    if budget < 0:
+        raise InputError(f"search budget must be nonnegative, got {budget}")
+    return budget
 
 
 def check_budget(space: int, budget: Optional[int] = None) -> None:
@@ -50,7 +51,7 @@ def check_budget(space: int, budget: Optional[int] = None) -> None:
     would exceed the effective budget; every exhaustive search calls this
     before it starts."""
     limit = search_budget(budget)
-    if limit is not None and space > limit:
+    if space > limit:
         raise BudgetExceededError(space, limit)
 
 

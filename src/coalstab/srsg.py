@@ -191,62 +191,73 @@ def build_scatter_ne(inst: SrsgInstance) -> Assignment:
     return (first, tuple(second))
 
 
-def _permutation(getrandbits, n: int) -> list:
-    """`random.Random.sample(range(n), n)` for the generator that owns
-    `getrandbits`: the same list, leaving the generator in the same state.
+def _permutation_steps(n: int) -> tuple:
+    """`_permutation`'s steps for n items: the pool index each one fills
+    and the width of the `getrandbits` draws that pick its item."""
+    return tuple((last, (last + 1).bit_length()) for last in range(n - 1, -1, -1))
+
+
+def _permutation(getrandbits, pool: list, steps: tuple) -> None:
+    """Permute `pool` in place into `random.Random.sample(pool, len(pool))`
+    read backwards, for the generator that owns `getrandbits`, leaving the
+    generator in the state `sample` leaves it in.
 
     At k = n `sample` always takes its pool branch: draw j below the pool
     size by rejection on `getrandbits`, take pool[j] and fill its place from
-    the pool's end.  Here the taken items collect at the end instead, so
-    the pool read backwards is the sample.
+    the pool's end.  Here the taken items collect at the end instead.
     """
-    pool = list(range(n))
-    for last in range(n - 1, -1, -1):
-        bits = (last + 1).bit_length()
+    for last, bits in steps:
         j = getrandbits(bits)
         while j > last:
             j = getrandbits(bits)
         pool[j], pool[last] = pool[last], pool[j]
-    pool.reverse()
-    return pool
 
 
-def _deal(inst: SrsgInstance, rng: random.Random) -> list:
-    """One step's agents in m chunks, chunk r on resource r.
+def _deal(inst: SrsgInstance, rng: random.Random, pool: list,
+          steps: tuple) -> list:
+    """Deal one step's agents to the resources; returns the overfull
+    resources in increasing order.
 
-    A uniform agent permutation is cut into nearly balanced chunks, and a
-    uniform choice of resources takes the q larger ones.  That hits every
-    nearly balanced row with equal probability (the chunk-internal
-    orderings contribute a constant factor).
+    `pool` holds the n agents in index order and is permuted in place.
+    Read from its end, it is cut into m chunks, chunk r on resource r: the
+    q overfull resources (a uniform choice) take ceil(n/m) agents, the
+    others floor(n/m).  So chunk r ends at pool index n - r*floor(n/m) - (the
+    number of overfull resources below r).  That hits every nearly balanced
+    row with equal probability (the chunk-internal orderings contribute a
+    constant factor).
     """
-    order = _permutation(rng.getrandbits, inst.n)
-    overfull = set(rng.sample(range(inst.m), inst.q))
-    base = inst.n // inst.m
-    chunks = []
-    start = 0
-    for resource in range(inst.m):
-        stop = start + base + (resource in overfull)
-        chunks.append(order[start:stop])
-        start = stop
-    return chunks
+    _permutation(rng.getrandbits, pool, steps)
+    return sorted(rng.sample(range(inst.m), inst.q))
 
 
-def _random_balanced_row(inst: SrsgInstance, rng: random.Random) -> tuple:
+def _random_balanced_row(inst: SrsgInstance, rng: random.Random,
+                         steps: tuple) -> tuple:
     """Uniform draw over rows whose load multiset is nearly balanced."""
+    pool = list(range(inst.n))
+    overfull = _deal(inst, rng, pool, steps)
+    base = inst.n // inst.m
     row = [0] * inst.n
-    for resource, chunk in enumerate(_deal(inst, rng)):
-        for agent in chunk:
+    stop = inst.n
+    for resource in range(inst.m):
+        start = stop - base - (resource in overfull)
+        for agent in pool[start:stop]:
             row[agent] = resource
+        stop = start
     return tuple(row)
 
 
 def sample_random_ne(inst: SrsgInstance, seed: int) -> Assignment:
-    """Independent uniformly random nearly balanced partition per step."""
+    """Independent uniformly random nearly balanced partition per step.  The
+    seed must be nonnegative (`random.Random` seeds with its absolute
+    value)."""
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     if not inst.cost.is_convex:
         raise ContractError("random nearly balanced rows are equilibria only "
                             "for convex costs")
     rng = random.Random(seed)
-    return tuple(_random_balanced_row(inst, rng) for _ in range(inst.k))
+    steps = _permutation_steps(inst.n)
+    return tuple(_random_balanced_row(inst, rng, steps) for _ in range(inst.k))
 
 
 def pair_share_summary(inst: SrsgInstance, assignment: Assignment,
@@ -288,35 +299,36 @@ def pair_deviates_structural(inst: SrsgInstance, assignment: Sequence,
     return sum(1 for _, tag in shared if tag == "full") >= 2
 
 
-def _shared_full_pairs(inst: SrsgInstance, steps) -> int:
-    """Count pairs in one full group at two or more steps; `steps` holds
-    each step's m groups.  Each full group's pairs go into `seen` the first
-    time and into `twice` after, so a pair counts once however often it
-    meets: k*q*C(full_load, 2) pair lookups at an equilibrium."""
-    if inst.q == 0:
-        return 0
-    full = inst.full_load
-    seen, twice = set(), set()
-    for groups in steps:
-        for group in groups:
-            if len(group) == full:
-                for pair in itertools.combinations(sorted(group), 2):
-                    if pair in seen:
-                        twice.add(pair)
-                    else:
-                        seen.add(pair)
-    return len(twice)
+def _pairs_met_twice(bits: list, groups) -> int:
+    """Count the agent pairs that meet in two or more of `groups` (agent
+    lists, the full groups of every step); bits[a] is 1 << a.
+
+    Each agent keeps two masks: `once`, the agents it has met (itself
+    included), and `twice`, those it has met again.  A group of c agents
+    costs c mask updates.  An agent with a nonzero `twice` has its own bit
+    in it, so the pairs are the other bits, each pair seen from both ends.
+    """
+    once = [0] * len(bits)
+    twice = [0] * len(bits)
+    for group in groups:
+        mask = sum(map(bits.__getitem__, group))
+        for agent in group:
+            twice[agent] |= once[agent] & mask
+            once[agent] |= mask
+    return (sum(map(int.bit_count, twice)) - len(twice) + twice.count(0)) // 2
 
 
 def _structural_pair_count(inst: SrsgInstance, assignment: Assignment) -> int:
     """Count pairs sharing an overfull resource in two or more steps."""
-    steps = []
+    if inst.q == 0:
+        return 0
+    full_groups = []
     for row in assignment:
         groups = [[] for _ in range(inst.m)]
         for agent, r in enumerate(row):
             groups[r].append(agent)
-        steps.append(groups)
-    return _shared_full_pairs(inst, steps)
+        full_groups += (g for g in groups if len(g) == inst.full_load)
+    return _pairs_met_twice([1 << a for a in range(inst.n)], full_groups)
 
 
 def count_pair_deviations(inst: SrsgInstance, assignment: Sequence,
@@ -386,12 +398,23 @@ _SEED_STRIDE = 1_000_003  # fixed arithmetic: sample i uses seed*stride + i
 
 def _sample_counts_range(args) -> list:
     inst, seed, start, stop = args
+    n, base, full = inst.n, inst.n // inst.m, inst.full_load
+    agents = list(range(n))
+    bits = [1 << a for a in agents]
+    steps = _permutation_steps(n)
     rng = random.Random()
+
+    def full_groups():
+        for _ in range(inst.k):
+            pool = agents[:]
+            for rank, r in enumerate(_deal(inst, rng, pool, steps)):
+                end = n - r * base - rank
+                yield pool[end - full:end]
+
     out = []
     for i in range(start, stop):
         rng.seed(seed * _SEED_STRIDE + i)  # the state random.Random(...) has
-        out.append(_shared_full_pairs(
-            inst, [_deal(inst, rng) for _ in range(inst.k)]))
+        out.append(_pairs_met_twice(bits, full_groups()))
     return out
 
 
@@ -403,14 +426,17 @@ def sample_pair_deviation_counts(inst: SrsgInstance, samples: int, seed: int,
     function of (inst, samples, seed) regardless of how the index range is
     split across worker processes: count i equals
     `count_pair_deviations(inst, sample_random_ne(inst, seed * _SEED_STRIDE + i))`.
-    The sampler gets there without building rows: it draws each step's
-    permutation with its own copy of `random.Random.sample`, deals it into
-    chunks (`_deal`, as `sample_random_ne` does) and passes the chunks
-    straight to the pair counter that `count_pair_deviations` uses.  The
-    pool starts no more processes than it has jobs.
+    The sampler gets there without building rows: it deals each step with
+    `_deal`, as `sample_random_ne` does, cuts only the q overfull chunks
+    from the permuted pool and passes them straight to the mask counter
+    that `count_pair_deviations` uses.  The seed must be nonnegative, as
+    for `sample_random_ne`.  The pool starts no more processes than it has
+    jobs.
     """
     if samples < 0:
         raise InputError("samples must be nonnegative")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     if not inst.cost.is_convex:
         raise ContractError("random equilibrium sampling requires convex costs")
     if workers <= 1 or samples < 2:

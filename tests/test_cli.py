@@ -45,6 +45,17 @@ class TestScoreCommand:
         assert "truncated" in table.provenance
         assert json.loads(err.strip())["error"] == "budget exceeded"
 
+    def test_negative_budget_is_bad_input(self, capsys, monkeypatch, example_game):
+        argv = ["score", "--game", example_game, "--profile", "repeat",
+                "--kind", "strict", "--rmax", "2"]
+        code, out, err = run_cli(capsys, *argv, "--budget", "-5")
+        assert (code, out) == (1, "")
+        assert json.loads(err.strip())["error"] == "InputError"
+        monkeypatch.setenv("COALSTAB_BUDGET", "-1")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err.strip())["error"] == "InputError"
+
     def test_budget_cut_keeps_finished_sizes(self, capsys, example_game):
         code, out, _ = run_cli(capsys, "score", "--game", example_game,
                                "--profile", "repeat", "--kind", "strict",
@@ -82,6 +93,17 @@ class TestSrsgCommand:
         assert out == ""
         assert json.loads(err.strip()) == {"error": "InputError",
                                            "detail": "samples must be nonnegative"}
+
+    @pytest.mark.parametrize("method", ["structural", "bruteforce"])
+    def test_negative_seed_rejected(self, capsys, method):
+        # random.Random seeds with abs(seed): -1 would repeat seed 1's samples
+        code, out, err = run_cli(capsys, "srsg", "--m", "10", "--n", "55", "--k", "3",
+                                 "--profile", "random", "--seed", "-1",
+                                 "--method", method)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip()) == {"error": "InputError",
+                                           "detail": "seed must be nonnegative"}
 
 
 class TestAuctionCommand:

@@ -80,6 +80,17 @@ class TestFindDeviation:
         with pytest.raises(BudgetExceededError):
             games.find_deviation(small_game, profile, (0, 1), budget=10)
 
+    def test_negative_budget_is_bad_input(self, small_game, monkeypatch):
+        profile = (0,) * small_game.player_count
+        with pytest.raises(InputError):
+            games.find_deviation(small_game, profile, (0, 1), budget=-5)
+        monkeypatch.setenv("COALSTAB_BUDGET", "-1")
+        with pytest.raises(InputError):
+            games.search_budget()
+        assert games.search_budget(0) == 0  # a zero budget still means no search
+        with pytest.raises(BudgetExceededError):
+            games.find_deviation(small_game, profile, (0, 1), budget=0)
+
     def test_bad_kind_rejected_before_any_work(self):
         def utility(i, profile):
             raise AssertionError("no utility call expected")

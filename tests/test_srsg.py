@@ -215,8 +215,9 @@ def dict_pair_count(inst, assignment):
 
 
 class TestSampler:
-    """The sampler's own permutation draw and seen/twice pair counter
-    against `random.Random.sample`, the pair rule and the former counter."""
+    """The sampler's own permutation draw and agent-mask pair counter
+    against `random.Random.sample`, the pair rule, a dict pair counter and
+    `count_pair_deviations` on `sample_random_ne`."""
 
     def test_ten_thousand_counts_are_pinned(self):
         # sha256 of the counts' JSON, as `dict_pair_count` on each row gives them
@@ -230,7 +231,9 @@ class TestSampler:
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**64))
     def test_permutation_is_random_sample(self, n, seed):
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert srsg._permutation(ours.getrandbits, n) == theirs.sample(range(n), n)
+        pool = list(range(n))
+        srsg._permutation(ours.getrandbits, pool, srsg._permutation_steps(n))
+        assert pool[::-1] == theirs.sample(range(n), n)
         assert ours.getstate() == theirs.getstate()
 
     @settings(max_examples=150)
@@ -260,6 +263,28 @@ class TestSampler:
             srsg.count_pair_deviations(
                 inst, srsg.sample_random_ne(inst, 5 * srsg._SEED_STRIDE + i))
             for i in range(200)]
+
+    # n up to 80, so the agent masks pass 64 bits
+    @settings(max_examples=150)
+    @given(m=st.integers(2, 8), n=st.integers(2, 80), k=st.integers(2, 5),
+           samples=st.integers(0, 20), seed=st.integers(0, 2**32))
+    @example(m=4, n=12, k=3, samples=5, seed=0)  # q = 0
+    @example(m=8, n=5, k=4, samples=5, seed=1)  # n < m
+    def test_sampler_is_count_of_sample_random_ne(self, m, n, k, samples, seed):
+        inst = srsg.SrsgInstance(m, n, k, srsg.CostFn.linear(n))
+        rows = [srsg.sample_random_ne(inst, seed * srsg._SEED_STRIDE + i)
+                for i in range(samples)]
+        counts = srsg.sample_pair_deviation_counts(inst, samples, seed)
+        assert counts == [srsg.count_pair_deviations(inst, a) for a in rows]
+        assert counts == [dict_pair_count(inst, a) for a in rows]
+
+    def test_negative_seed_rejected(self):
+        # random.Random(-1) is random.Random(1): seed -1 would repeat seed 1
+        inst = srsg.SrsgInstance(10, 55, 3, srsg.CostFn.linear(55))
+        with pytest.raises(InputError):
+            srsg.sample_pair_deviation_counts(inst, 3, -1)
+        with pytest.raises(InputError):
+            srsg.sample_random_ne(inst, -1)
 
     def test_pool_starts_no_more_processes_than_jobs(self, small_instance, monkeypatch):
         sizes = []
