@@ -116,20 +116,6 @@ def vcg_payments(inst: AuctionInstance, reports: Optional[Sequence] = None) -> t
     return welfare_prices(inst.ctrs, vals)
 
 
-def vcg_payments_recursive(inst: AuctionInstance) -> tuple:
-    """Independent route to the prices of `welfare_prices` (its oracle):
-    bottom-up averaging
-    b_{s+1} = v_{s+1}, b_i = (1-x_i/x_{i-1}) v_i + (x_i/x_{i-1}) b_{i+1},
-    then p_j = b_{j+1}.  (Peeling one term off the direct sum shows the drop
-    share of x_{i-1} carries v_i and the rest carries the previous price.)"""
-    bids = {inst.s + 1: inst.value(inst.s + 1)}
-    for i in range(inst.s, 1, -1):
-        alpha = inst.ctr(i) / inst.ctr(i - 1)
-        bids[i] = (1 - alpha) * inst.value(i) + alpha * bids[i + 1]
-    winners = min(inst.s, inst.n)
-    return tuple(bids[j + 1] for j in range(1, winners + 1))
-
-
 # ---------------------------------------------------------------------------
 # GSP and its boundary envy-free equilibria
 # ---------------------------------------------------------------------------
@@ -209,20 +195,6 @@ def equilibrium_bids(inst: AuctionInstance, eq: str) -> tuple:
     if eq not in _EQUILIBRIA:
         raise InputError(f"equilibrium must be one of {_EQUILIBRIA}")
     return le_bids(inst) if eq == LE else ue_bids(inst)
-
-
-def verify_symmetric_ne(inst: AuctionInstance, bids: Sequence) -> bool:
-    """Envy-freeness: no bidder prefers any slot at that slot's current price,
-    and no loser would profit from any slot."""
-    outcome = gsp_outcome(inst, bids)
-    slots = len(outcome.payments)
-    for position, bidder in enumerate(outcome.ranking, start=1):
-        value = inst.values[bidder]
-        current = outcome.utilities[bidder]
-        for slot in range(1, slots + 1):
-            if (value - outcome.payments[slot - 1]) * inst.ctr(slot) > current:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +302,10 @@ def count_pair_deviations(inst: AuctionInstance, eq: str) -> int:
 
 def _check_ranks(members: Sequence, n: int) -> tuple:
     """`members` as a tuple; InputError unless they are strictly increasing
-    ranks in 1..n."""
+    int ranks in 1..n."""
     members = tuple(members)
+    if not all(isinstance(rank, int) for rank in members):
+        raise InputError("ranks must be ints")
     if not members or list(members) != sorted(set(members)):
         raise InputError("coalition must be a strictly increasing rank tuple")
     if members[0] < 1 or members[-1] > n:
@@ -402,7 +376,9 @@ def vcg_coalition_deviation(inst: AuctionInstance, members: Sequence) -> tuple:
 
 def count_vcg_coalition_deviations(inst: AuctionInstance, r: int) -> int:
     """Number of size-r potential coalitions whose canonical misreport
-    verifies as a weak deviation."""
+    verifies as a weak deviation.  Raises BudgetExceededError up front when
+    the M_r coalitions (`potential_count`) exceed the search budget."""
+    check_budget(potential_count(inst.s, r))
     count = 0
     for members in iter_potential_coalitions(inst.s, inst.n, r):
         vcg_coalition_deviation(inst, members)  # raises if not a deviation
@@ -427,8 +403,11 @@ def coalition_deviates(inst: AuctionInstance, eq: str, members: Sequence) -> boo
 
 
 def count_coalition_deviations(inst: AuctionInstance, eq: str, r: int) -> int:
-    """Number of size-r potential coalitions containing a deviating pair."""
+    """Number of size-r potential coalitions containing a deviating pair.
+    Raises BudgetExceededError up front when the M_r coalitions
+    (`potential_count`) exceed the search budget."""
     lo = _deviation_thresholds(inst, eq)
+    check_budget(potential_count(inst.s, r))
     return sum(_has_deviating_pair(lo, inst.s, members)
                for members in iter_potential_coalitions(inst.s, inst.n, r))
 
@@ -634,57 +613,11 @@ def make_shape(spec: ShapeSpec) -> tuple:
     return tuple(vec)
 
 
-@dataclass(frozen=True)
-class ShapeInfo:
-    is_convex: bool
-    is_concave: bool
-    convex_beta: Optional[Fraction]  # largest certified shrink factor
-    concave_beta: Optional[Fraction]  # largest certified growth factor
-
-    @property
-    def kind(self) -> str:
-        if self.is_convex and self.is_concave:
-            return "linear"
-        if self.is_convex:
-            return "convex"
-        if self.is_concave:
-            return "concave"
-        return "neither"
-
-
-def classify_shape(vector: Sequence) -> ShapeInfo:
-    """Exact convexity/concavity flags of a decreasing positive vector plus
-    the largest beta each direction certifies."""
-    vec = _as_fraction_tuple(vector)
-    if len(vec) < 2:
-        raise InputError("need at least two entries to classify")
-    if vec[-1] <= 0 or not _strictly_decreasing(vec):
-        raise InputError("classification expects a strictly decreasing "
-                         "positive vector")
-    drops = [a - b for a, b in zip(vec, vec[1:])]
-    is_convex = all(a >= b for a, b in zip(drops, drops[1:]))
-    is_concave = all(a <= b for a, b in zip(drops, drops[1:]))
-    convex_beta = None
-    concave_beta = None
-    if len(drops) >= 2:  # a single drop constrains nothing
-        if is_convex:
-            convex_beta = min(a / b for a, b in zip(drops, drops[1:]))
-        if is_concave:
-            concave_beta = min(b / a for a, b in zip(drops, drops[1:]))
-    return ShapeInfo(is_convex, is_concave, convex_beta, concave_beta)
-
-
-def make_instance(s: int, value_spec: ShapeSpec, ctr_spec: ShapeSpec,
-                  n: Optional[int] = None) -> AuctionInstance:
-    """Instance with shape-generated values (length n, default 2s) and CTRs
-    (length s)."""
-    if n is None:
-        n = 2 * s
-    values = make_shape(ShapeSpec(value_spec.kind, n, value_spec.beta,
-                                  value_spec.high, value_spec.low))
-    ctrs = make_shape(ShapeSpec(ctr_spec.kind, s, ctr_spec.beta,
-                                ctr_spec.high, ctr_spec.low))
-    return AuctionInstance(s, values, ctrs)
+def make_instance(s: int, value_spec: ShapeSpec,
+                  ctr_spec: ShapeSpec) -> AuctionInstance:
+    """Instance with s slots and shape-generated values and CTRs: one bidder
+    per entry of `value_spec`, and `ctr_spec` must have length s."""
+    return AuctionInstance(s, make_shape(value_spec), make_shape(ctr_spec))
 
 
 # ---------------------------------------------------------------------------

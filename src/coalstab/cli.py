@@ -202,20 +202,24 @@ def cmd_auction(args) -> int:
     counts = [(2, True)] if args.count_pairs else []
     if args.count_coalitions:
         counts.append((args.count_coalitions, False))
-    for r, pairs in counts:
-        if args.eq == "vcg":
-            count = auction.count_vcg_coalition_deviations(inst, r)
-        elif pairs:
-            count = auction.count_pair_deviations(inst, args.eq)
-        else:
-            count = auction.count_coalition_deviations(inst, args.eq, r)
-        m_r = auction.potential_count(inst.s, r)
-        table.append(args.eq, inst.s, r, count, m_r, count / m_r)
-    if not table.rows:
+    if not counts:
         raise InputError("nothing to do: pass --count-pairs, "
                          "--count-coalitions R or --table1")
-    _emit(table, args)
-    return 0
+    cut = None
+    try:
+        for r, pairs in counts:
+            if args.eq == "vcg":
+                count = auction.count_vcg_coalition_deviations(inst, r)
+            elif pairs:
+                count = auction.count_pair_deviations(inst, args.eq)
+            else:
+                count = auction.count_coalition_deviations(inst, args.eq, r)
+            m_r = auction.potential_count(inst.s, r)
+            table.append(args.eq, inst.s, r, count, m_r, count / m_r)
+    except BudgetExceededError as exc:
+        cut = {"s": inst.s, "eq": args.eq}
+        table.provenance["truncated"] = f"r {r}: budget exceeded: {exc}"
+    return _emit_or_cut(table, args, cut)
 
 
 # ---------------------------------------------------------------------------

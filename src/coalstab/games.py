@@ -329,24 +329,6 @@ def classify(first: ScoreVector, second: ScoreVector) -> Classification:
     )
 
 
-def is_nash_profile(game: FiniteGame, profile: Sequence) -> bool:
-    """Independent best-response scan: no unilateral strictly improving move."""
-    profile = game.validate_profile(profile)
-    work = list(profile)
-    for i in range(game.player_count):
-        current = game.utility(i, profile)
-        original = work[i]
-        for a in range(game.action_counts[i]):
-            if a == original:
-                continue
-            work[i] = a
-            if game.utility(i, tuple(work)) > current:
-                work[i] = original
-                return False
-        work[i] = original
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Game exchange documents
 #

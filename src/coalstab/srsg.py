@@ -51,9 +51,6 @@ class CostFn:
         diffs = [b - a for a, b in zip(self.values, self.values[1:])]
         return all(x <= y for x, y in zip(diffs, diffs[1:]))
 
-    def at_load(self, load: int):
-        return self.values[load - 1]
-
 
 @dataclass(frozen=True)
 class SrsgInstance:
@@ -100,16 +97,6 @@ def step_loads(inst: SrsgInstance, assignment: Assignment) -> list:
             counts[r] += 1
         loads.append(counts)
     return loads
-
-
-def total_cost(inst: SrsgInstance, assignment: Sequence, agent: int):
-    """Sum over steps of the cost of the agent's resource at its load."""
-    assignment = validate_assignment(inst, assignment)
-    if not 0 <= agent < inst.n:
-        raise InputError(f"agent {agent} out of range")
-    loads = step_loads(inst, assignment)
-    values = inst.cost.values
-    return sum(values[loads[t][assignment[t][agent]] - 1] for t in range(inst.k))
 
 
 def is_nash(inst: SrsgInstance, assignment: Sequence) -> bool:
@@ -260,45 +247,6 @@ def sample_random_ne(inst: SrsgInstance, seed: int) -> Assignment:
     return tuple(_random_balanced_row(inst, rng, steps) for _ in range(inst.k))
 
 
-def pair_share_summary(inst: SrsgInstance, assignment: Assignment,
-                       i: int, j: int) -> tuple:
-    """Steps at which agents i and j share a resource, tagged full/vacant.
-
-    "full" means the shared resource carries ceil(n/m) agents and the
-    instance has a nonzero remainder; in a nearly balanced row those are the
-    only loads above the floor.
-    """
-    assignment = validate_assignment(inst, assignment)
-    loads = step_loads(inst, assignment)
-    full = inst.full_load
-    shared = []
-    for t in range(inst.k):
-        ri, rj = assignment[t][i], assignment[t][j]
-        if ri == rj:
-            tag = "full" if (inst.q > 0 and loads[t][ri] == full) else "vacant"
-            shared.append((t, tag))
-    return tuple(shared)
-
-
-def _require_structural_scope(inst: SrsgInstance, assignment: Assignment) -> None:
-    if not inst.cost.is_convex:
-        raise ContractError("structural pair rule requires a convex cost")
-    if not is_nash(inst, assignment):
-        raise ContractError("structural pair rule requires an equilibrium "
-                            "assignment")
-
-
-def pair_deviates_structural(inst: SrsgInstance, assignment: Sequence,
-                             i: int, j: int) -> bool:
-    """Pair rule: a strict joint gain exists iff the two agents share an
-    overfull resource in at least two steps (they then peel off one at a time,
-    each in a different step).  Only valid at equilibria of convex costs."""
-    assignment = validate_assignment(inst, assignment)
-    _require_structural_scope(inst, assignment)
-    shared = pair_share_summary(inst, assignment, i, j)
-    return sum(1 for _, tag in shared if tag == "full") >= 2
-
-
 def _pairs_met_twice(bits: list, groups) -> int:
     """Count the agent pairs that meet in two or more of `groups` (agent
     lists, the full groups of every step); bits[a] is 1 << a.
@@ -332,19 +280,29 @@ def _structural_pair_count(inst: SrsgInstance, assignment: Assignment) -> int:
 
 
 def count_pair_deviations(inst: SrsgInstance, assignment: Sequence,
-                          method: str = "structural",
-                          budget: Optional[int] = None) -> int:
-    """Number of unordered agent pairs with a strict joint deviation."""
+                          method: str = "structural") -> int:
+    """Number of unordered agent pairs with a strict joint deviation.
+
+    "structural" is the pair rule: a pair strictly gains by a joint move iff
+    the two agents share an overfull resource in at least two steps (they
+    then peel off one at a time, each in a different step).  It holds only
+    at equilibria of convex costs, so anything else is a ContractError.
+    "bruteforce" asks the induced game about every pair; each search is
+    capped by the search budget (`COALSTAB_BUDGET`)."""
     assignment = validate_assignment(inst, assignment)
     if method == "structural":
-        _require_structural_scope(inst, assignment)
+        if not inst.cost.is_convex:
+            raise ContractError("structural pair rule requires a convex cost")
+        if not is_nash(inst, assignment):
+            raise ContractError("structural pair rule requires an equilibrium "
+                                "assignment")
         return _structural_pair_count(inst, assignment)
     if method == "bruteforce":
         game = induced_game(inst)
         profile = assignment_to_profile(inst, assignment)
         count = 0
         for pair in itertools.combinations(range(inst.n), 2):
-            if games.has_deviation(game, profile, pair, games.STRICT, budget):
+            if games.has_deviation(game, profile, pair, games.STRICT):
                 count += 1
         return count
     raise InputError("method must be 'structural' or 'bruteforce'")
@@ -476,15 +434,6 @@ def assignment_to_profile(inst: SrsgInstance, assignment: Sequence) -> tuple:
             action = action * inst.m + assignment[t][agent]
         profile.append(action)
     return tuple(profile)
-
-
-def profile_to_assignment(inst: SrsgInstance, profile: Sequence) -> Assignment:
-    decode = _decode_table(inst)
-    rows = [[0] * inst.n for _ in range(inst.k)]
-    for agent, action in enumerate(profile):
-        for t, r in enumerate(decode[action]):
-            rows[t][agent] = r
-    return tuple(tuple(row) for row in rows)
 
 
 def _step_costs(costs: Sequence, loads: tuple, r: int) -> list:

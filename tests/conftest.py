@@ -1,9 +1,13 @@
 import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import settings
 
-from coalstab import auction, srsg
+from coalstab import auction, games, srsg
+from coalstab.errors import InputError
 
 # every property test is reproducible and untimed; each sets only max_examples
 settings.register_profile("coalstab", derandomize=True, deadline=None)
@@ -70,3 +74,111 @@ def simulate_pair_deviation(inst: auction.AuctionInstance, eq: str, k: int, j: i
     bids = auction.equilibrium_bids(inst, eq)
     price = bids[j] if j < len(bids) else 0
     return (inst.value(k) - price) * inst.ctr(j - 1)
+
+
+# Independent oracles.  The library never calls these; tests compare its
+# answers against them.
+
+def vcg_payments_recursive(inst: auction.AuctionInstance) -> tuple:
+    """Independent route to the prices of `welfare_prices` (its oracle):
+    bottom-up averaging
+    b_{s+1} = v_{s+1}, b_i = (1-x_i/x_{i-1}) v_i + (x_i/x_{i-1}) b_{i+1},
+    then p_j = b_{j+1}.  (Peeling one term off the direct sum shows the drop
+    share of x_{i-1} carries v_i and the rest carries the previous price.)"""
+    bids = {inst.s + 1: inst.value(inst.s + 1)}
+    for i in range(inst.s, 1, -1):
+        alpha = inst.ctr(i) / inst.ctr(i - 1)
+        bids[i] = (1 - alpha) * inst.value(i) + alpha * bids[i + 1]
+    winners = min(inst.s, inst.n)
+    return tuple(bids[j + 1] for j in range(1, winners + 1))
+
+
+def verify_symmetric_ne(inst: auction.AuctionInstance, bids: Sequence) -> bool:
+    """Envy-freeness: no bidder prefers any slot at that slot's current price,
+    and no loser would profit from any slot."""
+    outcome = auction.gsp_outcome(inst, bids)
+    slots = len(outcome.payments)
+    for position, bidder in enumerate(outcome.ranking, start=1):
+        value = inst.values[bidder]
+        current = outcome.utilities[bidder]
+        for slot in range(1, slots + 1):
+            if (value - outcome.payments[slot - 1]) * inst.ctr(slot) > current:
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class ShapeInfo:
+    is_convex: bool
+    is_concave: bool
+    convex_beta: Optional[Fraction]  # largest certified shrink factor
+    concave_beta: Optional[Fraction]  # largest certified growth factor
+
+    @property
+    def kind(self) -> str:
+        if self.is_convex and self.is_concave:
+            return "linear"
+        if self.is_convex:
+            return "convex"
+        if self.is_concave:
+            return "concave"
+        return "neither"
+
+
+def classify_shape(vector: Sequence) -> ShapeInfo:
+    """Exact convexity/concavity flags of a decreasing positive vector plus
+    the largest beta each direction certifies."""
+    vec = auction._as_fraction_tuple(vector)
+    if len(vec) < 2:
+        raise InputError("need at least two entries to classify")
+    if vec[-1] <= 0 or not auction._strictly_decreasing(vec):
+        raise InputError("classification expects a strictly decreasing "
+                         "positive vector")
+    drops = [a - b for a, b in zip(vec, vec[1:])]
+    is_convex = all(a >= b for a, b in zip(drops, drops[1:]))
+    is_concave = all(a <= b for a, b in zip(drops, drops[1:]))
+    convex_beta = None
+    concave_beta = None
+    if len(drops) >= 2:  # a single drop constrains nothing
+        if is_convex:
+            convex_beta = min(a / b for a, b in zip(drops, drops[1:]))
+        if is_concave:
+            concave_beta = min(b / a for a, b in zip(drops, drops[1:]))
+    return ShapeInfo(is_convex, is_concave, convex_beta, concave_beta)
+
+
+def total_cost(inst: srsg.SrsgInstance, assignment: Sequence, agent: int):
+    """Sum over steps of the cost of the agent's resource at its load."""
+    assignment = srsg.validate_assignment(inst, assignment)
+    if not 0 <= agent < inst.n:
+        raise InputError(f"agent {agent} out of range")
+    loads = srsg.step_loads(inst, assignment)
+    values = inst.cost.values
+    return sum(values[loads[t][assignment[t][agent]] - 1] for t in range(inst.k))
+
+
+def profile_to_assignment(inst: srsg.SrsgInstance, profile: Sequence) -> tuple:
+    decode = srsg._decode_table(inst)
+    rows = [[0] * inst.n for _ in range(inst.k)]
+    for agent, action in enumerate(profile):
+        for t, r in enumerate(decode[action]):
+            rows[t][agent] = r
+    return tuple(tuple(row) for row in rows)
+
+
+def is_nash_profile(game: games.FiniteGame, profile: Sequence) -> bool:
+    """Independent best-response scan: no unilateral strictly improving move."""
+    profile = game.validate_profile(profile)
+    work = list(profile)
+    for i in range(game.player_count):
+        current = game.utility(i, profile)
+        original = work[i]
+        for a in range(game.action_counts[i]):
+            if a == original:
+                continue
+            work[i] = a
+            if game.utility(i, tuple(work)) > current:
+                work[i] = original
+                return False
+        work[i] = original
+    return True

@@ -17,7 +17,7 @@ import pytest
 from coalstab import auction, games, reserve, srsg
 from coalstab.errors import ContractWarning
 from conftest import (REPEAT, ROTATE, SPLIT, pair_gain, random_auction,
-                      simulate_pair_deviation)
+                      simulate_pair_deviation, vcg_payments_recursive)
 
 
 def report(label: str, elapsed: float, budget: float) -> None:
@@ -124,7 +124,7 @@ def test_c05_revenue_equivalence_and_recursion_identity():
         inst = random_auction(rng, s, rng.randrange(s + 1, 2 * s + 2))
         direct = auction.vcg_payments(inst)
         assert auction.gsp_outcome(inst, auction.le_bids(inst)).payments == direct
-        assert auction.vcg_payments_recursive(inst) == direct
+        assert vcg_payments_recursive(inst) == direct
     report("c05 lower-equilibrium payments = truthful payments = recursion",
            time.monotonic() - start, 10)
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from coalstab import auction, games
 from coalstab.errors import BudgetExceededError, ContractError, InputError, TieError
-from conftest import pair_gain, random_auction, simulate_pair_deviation
+from conftest import (classify_shape, pair_gain, random_auction, simulate_pair_deviation,
+                      vcg_payments_recursive, verify_symmetric_ne)
 
 
 @st.composite
@@ -66,7 +67,7 @@ class TestPayments:
         for _ in range(100):
             s = rng.randrange(1, 12)
             inst = random_auction(rng, s, rng.randrange(2, 2 * s + 3))
-            assert auction.vcg_payments(inst) == auction.vcg_payments_recursive(inst)
+            assert auction.vcg_payments(inst) == vcg_payments_recursive(inst)
 
     def test_misreports_change_prices_not_values(self, tiny):
         shaded = auction.vcg_payments(tiny, (10, 6, 1))
@@ -98,11 +99,11 @@ class TestBoundaryEquilibria:
         for _ in range(30):
             s = rng.randrange(1, 9)
             inst = random_auction(rng, s, rng.randrange(s + 1, 2 * s + 2))
-            assert auction.verify_symmetric_ne(inst, auction.le_bids(inst))
-            assert auction.verify_symmetric_ne(inst, auction.ue_bids(inst))
+            assert verify_symmetric_ne(inst, auction.le_bids(inst))
+            assert verify_symmetric_ne(inst, auction.ue_bids(inst))
 
     def test_overbidding_breaks_envy_freeness(self, tiny):
-        assert not auction.verify_symmetric_ne(tiny, (10, 11, 2))
+        assert not verify_symmetric_ne(tiny, (10, 11, 2))
 
     def test_bids_strictly_decrease(self):
         rng = random.Random(4)
@@ -375,6 +376,29 @@ class TestCoalitionReduction:
         with pytest.raises(InputError):
             auction.coalition_deviates(tiny, "vcg", (1, 2))
 
+    @pytest.mark.parametrize("call", [
+        lambda inst, m: auction.is_potential_coalition(m, inst.s, inst.n),
+        lambda inst, m: auction.coalition_deviates(inst, auction.LE, m),
+        lambda inst, m: auction.exhaustive_bid_search(inst, auction.le_bids(inst), m),
+    ], ids=["is_potential_coalition", "coalition_deviates", "exhaustive_bid_search"])
+    def test_non_integer_ranks_rejected(self, tiny, call):
+        with pytest.raises(InputError):
+            call(tiny, (1.5, 2))
+
+    @pytest.mark.parametrize("count", [
+        lambda inst, r: auction.count_coalition_deviations(inst, auction.LE, r),
+        auction.count_vcg_coalition_deviations,
+    ], ids=["le", "vcg"])
+    def test_coalition_counters_charge_the_budget(self, count, monkeypatch):
+        inst = random_auction(random.Random(14), 4, 8)
+        m3 = auction.potential_count(4, 3)
+        monkeypatch.setenv("COALSTAB_BUDGET", str(m3 - 1))
+        with pytest.raises(BudgetExceededError) as info:
+            count(inst, 3)
+        assert info.value.required == m3
+        monkeypatch.setenv("COALSTAB_BUDGET", str(m3))
+        assert 0 < count(inst, 3) <= m3
+
     def test_rank_by_bid_auction_is_harder_to_collude_in(self):
         inst = auction.make_instance(8, auction.ShapeSpec("linear", 16),
                                      auction.ShapeSpec("linear", 8))
@@ -472,19 +496,19 @@ class TestGridSearch:
 
 class TestShapes:
     def test_linear_is_both_convex_and_concave(self):
-        info = auction.classify_shape(auction.make_shape(
+        info = classify_shape(auction.make_shape(
             auction.ShapeSpec("linear", 6)))
         assert info.is_convex and info.is_concave
         assert info.kind == "linear"
 
     def test_geometric_halving_certifies_beta_two(self):
         vec = tuple(Fraction(1, 2 ** i) for i in range(6))
-        info = auction.classify_shape(vec)
+        info = classify_shape(vec)
         assert info.is_convex and not info.is_concave
         assert info.convex_beta == 2
 
     def test_small_example_vector(self):
-        info = auction.classify_shape((4, 2, 1))
+        info = classify_shape((4, 2, 1))
         assert info.convex_beta == 2
         assert info.kind == "convex"
 
@@ -493,7 +517,7 @@ class TestShapes:
                            ("beta_convex", Fraction(2)),
                            ("beta_concave", Fraction(3, 2))]:
             vec = auction.make_shape(auction.ShapeSpec(kind, 9, beta))
-            info = auction.classify_shape(vec)
+            info = classify_shape(vec)
             if kind in ("linear", "convex", "beta_convex"):
                 assert info.is_convex
             if kind in ("linear", "concave", "beta_concave"):
@@ -502,6 +526,14 @@ class TestShapes:
                 assert info.convex_beta >= beta
             if kind == "beta_concave":
                 assert info.concave_beta >= beta
+
+    def test_make_instance_takes_its_lengths_from_the_specs(self):
+        inst = auction.make_instance(3, auction.ShapeSpec("linear", 5),
+                                     auction.ShapeSpec("linear", 3))
+        assert inst.n == 5
+        with pytest.raises(InputError):
+            auction.make_instance(3, auction.ShapeSpec("linear", 6),
+                                  auction.ShapeSpec("linear", 4))
 
     def test_infeasible_specs_rejected(self):
         with pytest.raises(InputError):

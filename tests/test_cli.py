@@ -1,4 +1,7 @@
+import ast
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +142,18 @@ class TestAuctionCommand:
                                  "--v", "6,4,2", "--x", "4,2,1", "--eq", eq, *flag)
         assert code == 1 and out == ""
         assert "more bidders than slots" in json.loads(err.strip())["detail"]
+
+    @pytest.mark.parametrize("eq", ["le", "vcg"])
+    def test_budget_cut_keeps_the_pair_row(self, capsys, monkeypatch, eq):
+        # M_2 = 78 fits the budget, M_4 = 793 does not
+        monkeypatch.setenv("COALSTAB_BUDGET", "78")
+        code, out, err = run_cli(capsys, "auction", "--s", "12", "--count-pairs",
+                                 "--count-coalitions", "4", "--eq", eq)
+        assert code == 3
+        assert json.loads(err.strip())["error"] == "budget exceeded"
+        table = ResultTable.from_csv(out)
+        assert [row[:3] for row in table.rows] == [(eq, 12, 2)]
+        assert table.provenance["truncated"].startswith("r 4: budget exceeded")
 
     def test_requires_an_action(self, capsys):
         code, _, err = run_cli(capsys, "auction", "--s", "3")
@@ -310,3 +325,26 @@ class TestDeterminism:
                                "--v", "10,6,2", "--x", "2,1",
                                "--mode", "fixed", "--c", "0")
         assert code == 0  # reserve output is JSON; decimals apply to CSV tables
+
+
+class TestBenchmarkSurface:
+    """perfbench/ lies outside the test paths, so this is what notices when
+    the library drops or renames a name the benchmark uses."""
+
+    def test_every_library_name_perfbench_uses_resolves(self):
+        layers = ("auction", "games", "reserve", "srsg", "tables")
+        used = set()
+        for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                chain, root = [], node
+                while isinstance(root, ast.Attribute):
+                    chain.append(root.attr)
+                    root = root.value
+                if chain and isinstance(root, ast.Name) and root.id in layers:
+                    used.add((root.id, *reversed(chain)))
+        assert used
+        for module, *attrs in sorted(used):
+            obj = importlib.import_module(f"coalstab.{module}")
+            for attr in attrs:
+                assert hasattr(obj, attr), f"perfbench uses {module}.{'.'.join(attrs)}"
+                obj = getattr(obj, attr)

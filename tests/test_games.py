@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from coalstab import games, srsg
 from coalstab.errors import BudgetExceededError, InputError
-from conftest import REPEAT, ROTATE, SPLIT
+from conftest import REPEAT, ROTATE, SPLIT, is_nash_profile
 
 
 def coordination_game():
@@ -177,7 +177,7 @@ class TestScoreVector:
             game = random_game(rng)
             profile = tuple(rng.randrange(3) for _ in range(3))
             vector = games.score_vector(game, profile, games.STRICT, 1)
-            assert (vector.counts[0] == 0) == games.is_nash_profile(game, profile)
+            assert (vector.counts[0] == 0) == is_nash_profile(game, profile)
 
     def test_weak_counts_dominate_strict_counts(self):
         rng = random.Random(31)

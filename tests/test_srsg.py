@@ -12,23 +12,31 @@ from hypothesis import strategies as st
 
 from coalstab import games, srsg
 from coalstab.errors import ContractError, InputError
-from conftest import REPEAT, SPLIT
+from conftest import REPEAT, SPLIT, is_nash_profile, profile_to_assignment, total_cost
+
+
+def game_cost(inst, assignment, agent):
+    """The agent's cost read off the induced game's utility."""
+    profile = srsg.assignment_to_profile(inst, assignment)
+    return -srsg.induced_game(inst).utility(agent, profile)
 
 
 class TestCostsAndEquilibria:
     def test_total_cost_of_doubled_agent(self, small_instance):
-        assert srsg.total_cost(small_instance, REPEAT, 0) == 4
+        assert game_cost(small_instance, REPEAT, 0) == \
+            total_cost(small_instance, REPEAT, 0) == 4
 
     def test_isolated_agent_pays_unit_cost_each_step(self):
         inst = srsg.SrsgInstance(3, 2, 2, srsg.CostFn.linear(2))
         spread = ((0, 1), (2, 1))
-        assert srsg.total_cost(inst, spread, 0) == 2 * inst.cost.at_load(1)
+        assert game_cost(inst, spread, 0) == total_cost(inst, spread, 0) == \
+            2 * inst.cost.values[0]
 
     def test_pileup_cost(self):
         inst = srsg.SrsgInstance(2, 3, 2, srsg.CostFn.linear(3))
         pileup = ((0, 0, 0), (0, 0, 0))
         for agent in range(3):
-            assert srsg.total_cost(inst, pileup, agent) == 6
+            assert game_cost(inst, pileup, agent) == total_cost(inst, pileup, agent) == 6
 
     def test_named_profiles_are_equilibria(self, small_instance, named_profiles):
         for assignment in named_profiles.values():
@@ -51,8 +59,8 @@ class TestCostsAndEquilibria:
             inst = srsg.SrsgInstance(3, 4, 2, srsg.CostFn.linear(4))
             game = srsg.induced_game(inst)
             profile = tuple(rng.randrange(9) for _ in range(4))
-            assignment = srsg.profile_to_assignment(inst, profile)
-            assert srsg.is_nash(inst, assignment) == games.is_nash_profile(game, profile)
+            assignment = profile_to_assignment(inst, profile)
+            assert srsg.is_nash(inst, assignment) == is_nash_profile(game, profile)
 
 
 class TestConstructions:
@@ -99,18 +107,11 @@ class TestConstructions:
 
 class TestStructuralRule:
     def test_doubled_pair_can_trade(self, small_instance):
-        assert srsg.pair_deviates_structural(small_instance, REPEAT, 0, 1)
+        # agents 0, 1 and agents 2, 3 share a doubled resource in both steps
+        assert srsg.count_pair_deviations(small_instance, REPEAT) == 2
 
     def test_no_pair_trades_after_split(self, small_instance):
-        for i in range(6):
-            for j in range(i + 1, 6):
-                assert not srsg.pair_deviates_structural(small_instance, SPLIT, i, j)
-
-    def test_share_summary_tags(self, small_instance):
-        shared = srsg.pair_share_summary(small_instance, REPEAT, 0, 1)
-        assert shared == ((0, "full"), (1, "full"))
-        solo = srsg.pair_share_summary(small_instance, REPEAT, 4, 5)
-        assert solo == ()
+        assert srsg.count_pair_deviations(small_instance, SPLIT) == 0
 
     def test_structural_rule_matches_exhaustive_search(self):
         rng = random.Random(17)
@@ -122,15 +123,21 @@ class TestStructuralRule:
             assignment = srsg.sample_random_ne(inst, trial)
             game = srsg.induced_game(inst)
             profile = srsg.assignment_to_profile(inst, assignment)
+            deviating = 0
             for i in range(n):
                 for j in range(i + 1, n):
                     expected = games.has_deviation(game, profile, (i, j))
-                    assert srsg.pair_deviates_structural(inst, assignment, i, j) == expected
+                    assert shares_full_resource_twice(inst, assignment, i, j) == expected
+                    deviating += expected
+            assert srsg.count_pair_deviations(inst, assignment) == deviating
 
     def test_structural_rule_guards_its_preconditions(self, small_instance):
         pileup = ((0,) * 6, (0,) * 6)
         with pytest.raises(ContractError):
-            srsg.pair_deviates_structural(small_instance, pileup, 0, 1)
+            srsg.count_pair_deviations(small_instance, pileup)
+        concave = srsg.SrsgInstance(4, 6, 2, srsg.CostFn((0, 2, 3, 3, 3, 3)))
+        with pytest.raises(ContractError):
+            srsg.count_pair_deviations(concave, REPEAT)
 
     def test_count_methods_agree(self, small_instance, named_profiles):
         for assignment in named_profiles.values():
@@ -214,6 +221,15 @@ def dict_pair_count(inst, assignment):
     return sum(1 for hits in seen.values() if hits >= 2)
 
 
+def shares_full_resource_twice(inst, assignment, i, j):
+    """Reference pair rule on rows: agents i and j share a resource holding
+    ceil(n/m) agents, with n % m > 0, in two or more steps."""
+    if inst.q == 0:
+        return False
+    return sum(row[i] == row[j] and row.count(row[i]) == inst.full_load
+               for row in assignment) >= 2
+
+
 class TestSampler:
     """The sampler's own permutation draw and agent-mask pair counter
     against `random.Random.sample`, the pair rule, a dict pair counter and
@@ -245,7 +261,7 @@ class TestSampler:
         inst = srsg.SrsgInstance(m, n, k, srsg.CostFn.linear(n))
         assignment = srsg.sample_random_ne(inst, seed)
         count = srsg.count_pair_deviations(inst, assignment)
-        assert count == sum(srsg.pair_deviates_structural(inst, assignment, i, j)
+        assert count == sum(shares_full_resource_twice(inst, assignment, i, j)
                             for i, j in itertools.combinations(range(n), 2))
         assert count == dict_pair_count(inst, assignment)
         if data is not None:  # any rows, equilibrium or not
@@ -342,12 +358,12 @@ class TestEncoding:
     def test_profile_round_trip(self, small_instance, named_profiles):
         for assignment in named_profiles.values():
             profile = srsg.assignment_to_profile(small_instance, assignment)
-            assert srsg.profile_to_assignment(small_instance, profile) == assignment
+            assert profile_to_assignment(small_instance, profile) == assignment
 
     def test_utility_is_negated_total_cost(self, small_instance, small_game):
         profile = srsg.assignment_to_profile(small_instance, REPEAT)
         for agent in range(6):
-            assert small_game.utility(agent, profile) == -srsg.total_cost(
+            assert small_game.utility(agent, profile) == -total_cost(
                 small_instance, REPEAT, agent)
 
     def test_validation(self, small_instance):
