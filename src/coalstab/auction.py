@@ -13,13 +13,13 @@ arithmetic is exact, and a deviation exists only on a strict inequality.
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import ContractError, InputError, TieError
 from .games import WEAK, check_budget, check_kind, first_deviation, rebids
+from .records import Record
 
 LE = "le"
 UE = "ue"
@@ -34,8 +34,7 @@ def _strictly_decreasing(values) -> bool:
     return all(a > b for a, b in zip(values, values[1:]))
 
 
-@dataclass(frozen=True)
-class AuctionInstance:
+class AuctionInstance(Record):
     """s slots with CTRs `ctrs`, n bidders with per-click values `values`.
 
     Both vectors are strictly decreasing and positive; values are pairwise
@@ -120,8 +119,7 @@ def vcg_payments(inst: AuctionInstance, reports: Optional[Sequence] = None) -> t
 # GSP and its boundary envy-free equilibria
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GspOutcome:
+class GspOutcome(Record):
     """Allocation, per-click prices and utilities of one bid profile.
 
     `ranking[j-1]` is the 0-based index of the bidder holding rank j;
@@ -302,9 +300,9 @@ def count_pair_deviations(inst: AuctionInstance, eq: str) -> int:
 
 def _check_ranks(members: Sequence, n: int) -> tuple:
     """`members` as a tuple; InputError unless they are strictly increasing
-    int ranks in 1..n."""
+    int ranks in 1..n (a bool is not a rank)."""
     members = tuple(members)
-    if not all(isinstance(rank, int) for rank in members):
+    if not all(type(rank) is int for rank in members):
         raise InputError("ranks must be ints")
     if not members or list(members) != sorted(set(members)):
         raise InputError("coalition must be a strictly increasing rank tuple")
@@ -378,7 +376,7 @@ def count_vcg_coalition_deviations(inst: AuctionInstance, r: int) -> int:
     """Number of size-r potential coalitions whose canonical misreport
     verifies as a weak deviation.  Raises BudgetExceededError up front when
     the M_r coalitions (`potential_count`) exceed the search budget."""
-    check_budget(potential_count(inst.s, r))
+    check_budget(potential_count(inst.s, r), unit="potential coalitions")
     count = 0
     for members in iter_potential_coalitions(inst.s, inst.n, r):
         vcg_coalition_deviation(inst, members)  # raises if not a deviation
@@ -407,7 +405,7 @@ def count_coalition_deviations(inst: AuctionInstance, eq: str, r: int) -> int:
     Raises BudgetExceededError up front when the M_r coalitions
     (`potential_count`) exceed the search budget."""
     lo = _deviation_thresholds(inst, eq)
-    check_budget(potential_count(inst.s, r))
+    check_budget(potential_count(inst.s, r), unit="potential coalitions")
     return sum(_has_deviating_pair(lo, inst.s, members)
                for members in iter_potential_coalitions(inst.s, inst.n, r))
 
@@ -532,8 +530,7 @@ def exhaustive_bid_search(inst: AuctionInstance, bids: Sequence,
 SHAPE_KINDS = ("linear", "convex", "concave", "beta_convex", "beta_concave")
 
 
-@dataclass(frozen=True)
-class ShapeSpec:
+class ShapeSpec(Record):
     """A named decreasing-vector family.
 
     beta_convex: consecutive drops shrink by exactly `beta` per step (rapidly
@@ -624,8 +621,7 @@ def make_instance(s: int, value_spec: ShapeSpec,
 # Reserve-price instability witness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReserveWitness:
+class ReserveWitness(Record):
     bidder_rank: int
     case: str  # "raise": value above the reserve but bid below; "lower": converse
     value: Fraction

@@ -4,6 +4,8 @@ Every run embeds its configuration echo, seed and package version in the
 output so results are reproducible byte for byte.  Exit codes: 0 success,
 2 usage error, 3 search budget exceeded (partial output is still written),
 1 anything else; non-usage failures also emit a JSON error record on stderr.
+Each subcommand imports the layer it runs (`srsg`, `auction` or `reserve`),
+so a process loads no other layer.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, auction, games, reserve, srsg
+from . import __version__, games
 from .errors import BudgetExceededError, InputError
 from .tables import ResultTable
 
@@ -36,6 +38,7 @@ def _workers() -> int:
 def parse_shape(text: str, length: int) -> tuple:
     """Shape spec notation: 'linear', 'linear:10..1', 'beta-convex:2',
     'concave', or an explicit comma list like '10,6,2'."""
+    from . import auction
     text = text.strip()
     if "," in text:
         values = tuple(Fraction(part) for part in text.split(","))
@@ -58,7 +61,8 @@ def parse_shape(text: str, length: int) -> tuple:
     return auction.make_shape(auction.ShapeSpec(kind, length, beta, high, low))
 
 
-def build_instance(args) -> auction.AuctionInstance:
+def build_instance(args) -> "auction.AuctionInstance":
+    from . import auction
     s = args.s
     n = args.n if args.n is not None else 2 * s
     values = parse_shape(args.v, n)
@@ -108,6 +112,7 @@ def _write_output(text: str, out: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_score(args) -> int:
+    from . import srsg
     game, profiles = games.load_game(args.game, srsg.GENERATOR_RESOLVERS)
     if args.profile not in profiles:
         raise InputError(f"game file defines no profile named {args.profile!r}")
@@ -132,13 +137,15 @@ def cmd_score(args) -> int:
 # srsg
 # ---------------------------------------------------------------------------
 
-def _parse_cost(text: str, n: int) -> srsg.CostFn:
+def _parse_cost(text: str, n: int) -> "srsg.CostFn":
+    from . import srsg
     if text == "linear":
         return srsg.CostFn.linear(n)
     return srsg.CostFn(tuple(games.rational_from_str(p) for p in text.split(",")))
 
 
 def cmd_srsg(args) -> int:
+    from . import srsg
     if args.samples < 0:
         raise InputError("samples must be nonnegative")
     if args.profile == "random" and args.seed < 0:
@@ -181,6 +188,7 @@ TABLE1_SHAPES = ("beta-concave:2", "linear", "beta-convex:2")
 
 
 def cmd_auction(args) -> int:
+    from . import auction
     if args.table1:
         table = ResultTable(("v_shape", "x_shape", "s", "d2", "m2", "ratio"),
                             provenance=_provenance(args, "auction"))
@@ -200,7 +208,7 @@ def cmd_auction(args) -> int:
     table = ResultTable(("eq", "s", "r", "count", "potential", "ratio"),
                         provenance=_provenance(args, "auction"))
     counts = [(2, True)] if args.count_pairs else []
-    if args.count_coalitions:
+    if args.count_coalitions is not None:
         counts.append((args.count_coalitions, False))
     if not counts:
         raise InputError("nothing to do: pass --count-pairs, "
@@ -227,6 +235,7 @@ def cmd_auction(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reserve(args) -> int:
+    from . import reserve
     if args.check_sse and args.mode != "star":
         raise InputError("--check-sse certifies the plain randomised reserve; "
                          "it needs --mode star")
@@ -307,6 +316,7 @@ def eval_expr(text: str, m: int) -> int:
 
 def cmd_sweep(args) -> int:
     if args.target == "srsg":
+        from . import srsg
         table = ResultTable(("m", "n", "k", "profile", "r", "count", "method"),
                             provenance=_provenance(args, "sweep", args.seed))
         lo_expr, _, hi_expr = args.n.partition(":")
@@ -325,6 +335,7 @@ def cmd_sweep(args) -> int:
             cut = {"m": args.m, "n": args.n, "k": args.k}
             table.provenance["truncated"] = f"m {m}, n {n}: budget exceeded: {exc}"
         return _emit_or_cut(table, args, cut)
+    from . import auction
     table = ResultTable(("v_shape", "x_shape", "s", "eq", "d2", "m2"),
                         provenance=_provenance(args, "sweep"))
     for s in parse_range(args.s):

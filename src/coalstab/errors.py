@@ -17,9 +17,9 @@ class BudgetExceededError(RuntimeError):
     has any (`games.score_vector` sets it to the sizes it counted).
     """
 
-    def __init__(self, required: int, budget: int):
+    def __init__(self, required: int, budget: int, unit: str = "joint actions"):
         super().__init__(
-            f"search space of {required} joint actions exceeds budget {budget}"
+            f"search space of {required} {unit} exceeds budget {budget}"
         )
         self.required = required
         self.budget = budget

@@ -11,12 +11,12 @@ notion is knife-edge (>= everywhere with one >).
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, InputError
+from .records import Record
 
 Rational = Union[int, Fraction]
 Profile = tuple  # tuple[int, ...], one action index per player
@@ -46,13 +46,14 @@ def search_budget(budget: Optional[int] = None) -> int:
     return budget
 
 
-def check_budget(space: int, budget: Optional[int] = None) -> None:
-    """Raise BudgetExceededError when a search over `space` joint actions
-    would exceed the effective budget; every exhaustive search calls this
-    before it starts."""
+def check_budget(space: int, budget: Optional[int] = None,
+                 unit: str = "joint actions") -> None:
+    """Raise BudgetExceededError when a search over `space` items (named
+    `unit` in the message) would exceed the effective budget; every
+    exhaustive search calls this before it starts."""
     limit = search_budget(budget)
     if space > limit:
-        raise BudgetExceededError(space, limit)
+        raise BudgetExceededError(space, limit, unit)
 
 
 def check_kind(kind: str) -> None:
@@ -61,8 +62,7 @@ def check_kind(kind: str) -> None:
         raise InputError(f"kind must be one of {_KINDS}")
 
 
-@dataclass(frozen=True)
-class FiniteGame:
+class FiniteGame(Record):
     """A normal-form game given by an exact utility oracle.
 
     `utility(i, profile)` must be defined for every player `i` and every
@@ -104,7 +104,7 @@ class FiniteGame:
                 f"profile has {len(profile)} entries, expected {self.player_count}"
             )
         for i, (a, c) in enumerate(zip(profile, self.action_counts)):
-            if not (isinstance(a, int) and 0 <= a < c):
+            if not (type(a) is int and 0 <= a < c):  # a bool is not an action
                 raise InputError(f"action {a!r} out of range for player {i}")
         return profile
 
@@ -115,13 +115,12 @@ class FiniteGame:
         if list(members) != sorted(set(members)):
             raise InputError("coalition members must be strictly increasing")
         for i in members:
-            if not (isinstance(i, int) and 0 <= i < self.player_count):
+            if not (type(i) is int and 0 <= i < self.player_count):  # nor a player
                 raise InputError(f"player index {i!r} out of range")
         return members
 
 
-@dataclass(frozen=True)
-class ScoreVector:
+class ScoreVector(Record):
     """Per-size deviation counts; entry r-1 counts coalitions of size r."""
 
     kind: str
@@ -151,8 +150,7 @@ class ScoreVector:
         return self.counts[r - 1]
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Solution-concept flags derived from a strict/weak score pair."""
 
     is_nash: bool

@@ -18,21 +18,20 @@ piece contributes its length times its midpoint value.
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .auction import AuctionInstance, untied_joints, welfare_prices
 from .errors import ContractWarning, InputError
 from .games import WEAK, check_budget, first_deviation, rebids
+from .records import Record
 
 FILTERED = "filtered"
 CLAMPED = "clamped"
 _MODES = (FILTERED, CLAMPED)
 
 
-@dataclass(frozen=True)
-class VcgStarConfig:
+class VcgStarConfig(Record):
     """Randomised reserve: with probability q_reserve the reserve is uniform
     on [0, v_max], otherwise 0.  q_reserve = 0 is allowed as the degenerate
     no-reserve control.  v_max = None defers to twice the top value of the
@@ -54,8 +53,7 @@ class VcgStarConfig:
         return self.v_max if self.v_max is not None else 2 * inst.values[0]
 
 
-@dataclass(frozen=True)
-class ReserveOutcome:
+class ReserveOutcome(Record):
     """Slots in report order: allocation[j-1] is the 0-based bidder in slot j."""
 
     allocation: tuple
@@ -205,8 +203,7 @@ def _expected_utility(inst: AuctionInstance, q: Fraction, v_max: Fraction,
     return expected + q * acc / v_max
 
 
-@dataclass(frozen=True)
-class SseVerdict:
+class SseVerdict(Record):
     """Outcome of the truth-telling coalition search.
 
     `certified` means no weak deviation exists among the searched coalitions
@@ -246,7 +243,8 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
     grids = [misreport_grid(inst, i, refine, v_max) for i in range(inst.n)]
     check_budget(sum(math.prod(len(grids[i]) for i in members)
                      for size in range(1, max_coalition + 1)
-                     for members in itertools.combinations(range(inst.n), size)))
+                     for members in itertools.combinations(range(inst.n), size)),
+                 unit="misreport combos")
     truthful = expected_utilities_vcg_star(inst, cfg, None)
     values = inst.values
     checked = 0
@@ -277,8 +275,7 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
 # Slot randomisation: manufacture one expected slot per bidder
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LambdaExtension:
+class LambdaExtension(Record):
     """Expected-CTR view of the slot-randomised auction: the first s-1 slots
     are untouched, slot s keeps (1-(n-s)*lam) of its rate and each of the
     n-s synthetic slots carries lam * x_s."""

@@ -11,19 +11,18 @@ search over the induced finite game stays available as an independent check.
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, exp, lcm
 from typing import Optional, Sequence
 
 from . import games
 from .errors import ContractError, InputError
+from .records import Record
 
 Assignment = tuple  # k rows of n resource indices in range(m)
 
 
-@dataclass(frozen=True)
-class CostFn:
+class CostFn(Record):
     """Nondecreasing per-load cost table; values[t-1] is the cost at load t."""
 
     values: tuple
@@ -52,8 +51,7 @@ class CostFn:
         return all(x <= y for x, y in zip(diffs, diffs[1:]))
 
 
-@dataclass(frozen=True)
-class SrsgInstance:
+class SrsgInstance(Record):
     m: int  # resources
     n: int  # agents
     k: int  # steps

@@ -15,10 +15,10 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
+from .records import Record
 
 # ASCII digits only, and whole-string matches: "7\n" and "0/0" stay strings
 _RATIONAL_RE = re.compile(r"-?[0-9]+/[0-9]*[1-9][0-9]*")
@@ -77,15 +77,18 @@ def cell_from_json(value):
     return value
 
 
-@dataclass
-class ResultTable:
+class ResultTable(Record):
     columns: tuple
-    rows: list = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
+    rows: list = ()
+    provenance: dict = None  # a fresh {} per table
+
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__  # mutable,
+    __hash__ = None  # so unhashable
 
     def __post_init__(self):
         self.columns = tuple(self.columns)
         self.rows = [tuple(r) for r in self.rows]
+        self.provenance = {} if self.provenance is None else self.provenance
 
     def append(self, *cells) -> None:
         if len(cells) != len(self.columns):

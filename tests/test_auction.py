@@ -396,6 +396,8 @@ class TestCoalitionReduction:
         with pytest.raises(BudgetExceededError) as info:
             count(inst, 3)
         assert info.value.required == m3
+        assert str(info.value) == (f"search space of {m3} potential coalitions "
+                                   f"exceeds budget {m3 - 1}")
         monkeypatch.setenv("COALSTAB_BUDGET", str(m3))
         assert 0 < count(inst, 3) <= m3
 

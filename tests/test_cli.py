@@ -1,6 +1,9 @@
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,7 +156,18 @@ class TestAuctionCommand:
         assert json.loads(err.strip())["error"] == "budget exceeded"
         table = ResultTable.from_csv(out)
         assert [row[:3] for row in table.rows] == [(eq, 12, 2)]
-        assert table.provenance["truncated"].startswith("r 4: budget exceeded")
+        assert table.provenance["truncated"] == (
+            "r 4: budget exceeded: search space of 793 potential coalitions "
+            "exceeds budget 78")
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_coalition_size_must_be_positive(self, capsys, size):
+        # 0 is a size to reject, not "no --count-coalitions"
+        code, out, err = run_cli(capsys, "auction", "--s", "3", "--count-pairs",
+                                 "--count-coalitions", size)
+        assert (code, out) == (1, "")
+        assert json.loads(err.strip()) == {"error": "InputError",
+                                           "detail": "coalition size must be positive"}
 
     def test_requires_an_action(self, capsys):
         code, _, err = run_cli(capsys, "auction", "--s", "3")
@@ -325,6 +339,40 @@ class TestDeterminism:
                                "--v", "10,6,2", "--x", "2,1",
                                "--mode", "fixed", "--c", "0")
         assert code == 0  # reserve output is JSON; decimals apply to CSV tables
+
+
+class TestImportFootprint:
+    """A `coalstab` process imports only the layer its subcommand runs, and
+    the library never loads `dataclasses` or `inspect`.  Each case runs in a
+    fresh interpreter and lists the modules it loaded past start-up."""
+
+    @staticmethod
+    def loaded_by(code: str) -> set:
+        script = (f"import json, os, sys\nbefore = set(sys.modules)\n{code}\n"
+                  "print(json.dumps(sorted(set(sys.modules) - before)))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    @pytest.mark.parametrize("code, loaded, unloaded", [
+        ("import coalstab.cli", {"coalstab.games", "coalstab.tables"},
+         {"dataclasses", "inspect", "coalstab.auction", "coalstab.reserve",
+          "coalstab.srsg"}),
+        ("import coalstab.auction, coalstab.reserve, coalstab.srsg, coalstab.tables",
+         {"coalstab.reserve"}, {"dataclasses", "inspect"}),
+        ("from coalstab import cli\nassert cli.main(['srsg', '--m', '4', '--n', '6', "
+         "'--k', '2', '--out', os.devnull]) == 0",
+         {"coalstab.srsg"}, {"coalstab.auction", "coalstab.reserve"}),
+        ("from coalstab import cli\nassert cli.main(['auction', '--s', '5', "
+         "'--count-pairs', '--out', os.devnull]) == 0",
+         {"coalstab.auction"}, {"coalstab.srsg", "coalstab.reserve"}),
+    ], ids=["import-cli", "import-library", "srsg-command", "auction-command"])
+    def test_modules_loaded(self, code, loaded, unloaded):
+        modules = self.loaded_by(code)
+        assert loaded <= modules
+        assert not unloaded & modules
 
 
 class TestBenchmarkSurface:

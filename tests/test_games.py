@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalstab import games, srsg
+from coalstab import auction, games, srsg
 from coalstab.errors import BudgetExceededError, InputError
 from conftest import REPEAT, ROTATE, SPLIT, is_nash_profile
 
@@ -77,8 +77,9 @@ class TestFindDeviation:
     def test_budget_exceeded_is_distinct_from_no_deviation(self, small_game,
                                                            small_instance):
         profile = srsg.assignment_to_profile(small_instance, ROTATE)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as info:
             games.find_deviation(small_game, profile, (0, 1), budget=10)
+        assert str(info.value) == "search space of 256 joint actions exceeds budget 10"
 
     def test_negative_budget_is_bad_input(self, small_game, monkeypatch):
         profile = (0,) * small_game.player_count
@@ -109,6 +110,17 @@ class TestFindDeviation:
     def test_validation_errors(self, small_game, profile, coalition):
         with pytest.raises(InputError):
             games.find_deviation(small_game, profile, coalition)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: auction.is_potential_coalition((True, 2), 2, 3),
+    lambda: coordination_game().validate_coalition((False, True)),
+    lambda: coordination_game().validate_profile((True, False)),
+], ids=["auction-rank", "coalition-member", "profile-action"])
+def test_bool_is_not_an_index(call):
+    # isinstance(True, int) holds, so each check names bool explicitly
+    with pytest.raises(InputError):
+        call()
 
 
 class TestFirstDeviation:

@@ -182,6 +182,8 @@ class TestTruthTellingSearch:
         with pytest.raises(BudgetExceededError) as info:
             reserve.check_truthful_sse(square, cfg)
         assert info.value.required == space
+        assert str(info.value) == (f"search space of {space} misreport combos "
+                                   f"exceeds budget {space - 1}")
         monkeypatch.setenv("COALSTAB_BUDGET", str(space))
         verdict = reserve.check_truthful_sse(square, cfg)
         assert verdict.certified and verdict.combos_checked <= space
