@@ -17,7 +17,7 @@ class BudgetExceededError(RuntimeError):
     has any (`games.score_vector` sets it to the sizes it counted).
     """
 
-    def __init__(self, required: int, budget: int, unit: str = "joint actions"):
+    def __init__(self, required: int, budget: int, unit: str):
         super().__init__(
             f"search space of {required} {unit} exceeds budget {budget}"
         )

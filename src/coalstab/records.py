@@ -9,7 +9,7 @@ class Record:
     AttributeError; pickling re-runs the constructor."""
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = tuple(cls.__annotations__)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
 
     def __init__(self, *args, **kwargs):

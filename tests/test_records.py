@@ -151,3 +151,36 @@ def test_post_init_normalises_and_validates():
         reserve.VcgStarConfig(q_reserve=2)
     with pytest.raises(InputError):
         srsg.SrsgInstance(1, 3, 2, srsg.CostFn((1, 2, 3)))
+
+
+class AnnotationsOffNamespace(type):
+    """Keeps a class body's annotations out of the class namespace and
+    serves them from `type.__annotations__`, as Python 3.14 does (PEP 649:
+    the body compiles an `__annotate__` function instead)."""
+
+    def __new__(mcls, name, bases, namespace):
+        namespace["_annotations_elsewhere"] = namespace.pop("__annotations__", {})
+        return super().__new__(mcls, name, bases, namespace)
+
+    @property
+    def __annotations__(cls):
+        return dict(cls.__dict__["_annotations_elsewhere"])
+
+
+class Point(Record, metaclass=AnnotationsOffNamespace):
+    x: int
+    y: int = 0
+
+
+def test_fields_come_from_the_annotations_not_the_namespace():
+    assert "__annotations__" not in Point.__dict__
+    assert Point._fields == ("x", "y")
+    assert Point(1) == Point(x=1, y=0) and repr(Point(1, 2)) == "Point(x=1, y=2)"
+    assert pickle.loads(pickle.dumps(Point(3))) == Point(3)
+    with pytest.raises(TypeError):
+        Point()
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_fields_are_the_annotated_names(cls, fields, defaults):
+    assert cls._fields == tuple(cls.__annotations__) == tuple(fields)
