@@ -203,14 +203,21 @@ def _generic_search(game: FiniteGame, members: Coalition, profile: Profile,
 
 
 def _checked(game: FiniteGame, profile: Sequence, coalition: Iterable,
-             kind: str, budget: Optional[int]):
-    """Validate a search request and charge its joint action space to the
-    budget; returns (profile, members)."""
+             kind: str):
+    """Validate a search request; returns (profile, members)."""
     check_kind(kind)
-    profile = game.validate_profile(profile)
-    members = game.validate_coalition(coalition)
-    check_budget(prod(game.action_counts[i] for i in members), budget)
-    return profile, members
+    return game.validate_profile(profile), game.validate_coalition(coalition)
+
+
+def deviates(game: FiniteGame, profile: Profile, members: Coalition,
+             kind: str, limit: int) -> bool:
+    """`has_deviation` for callers that validate once and pass `limit` from
+    `search_budget`: charge the joint action space, then decide by the hook
+    or the generic scan."""
+    check_budget(prod(game.action_counts[i] for i in members), limit)
+    if game.deviation_test is not None:
+        return game.deviation_test(members, profile, kind)
+    return _generic_search(game, members, profile, kind) is not None
 
 
 def find_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
@@ -228,7 +235,8 @@ def find_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
     member for each joint action up to it in product order, at worst the
     whole joint action space.
     """
-    profile, members = _checked(game, profile, coalition, kind, budget)
+    profile, members = _checked(game, profile, coalition, kind)
+    check_budget(prod(game.action_counts[i] for i in members), budget)
     if (game.deviation_test is not None
             and not game.deviation_test(members, profile, kind)):
         return None
@@ -239,10 +247,8 @@ def has_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
                   kind: str = STRICT, budget: Optional[int] = None) -> bool:
     """Whether `find_deviation` would return a witness, without building one
     when the game has a `deviation_test` hook."""
-    profile, members = _checked(game, profile, coalition, kind, budget)
-    if game.deviation_test is not None:
-        return game.deviation_test(members, profile, kind)
-    return _generic_search(game, members, profile, kind) is not None
+    profile, members = _checked(game, profile, coalition, kind)
+    return deviates(game, profile, members, kind, search_budget(budget))
 
 
 def score_vector(game: FiniteGame, profile: Sequence, kind: str = STRICT,
@@ -251,23 +257,26 @@ def score_vector(game: FiniteGame, profile: Sequence, kind: str = STRICT,
     """Count deviating coalitions of every size 1..r_max.
 
     r_max defaults to the player count; capping it avoids the binomial blowup
-    when only small coalitions are of interest.  When a coalition's search
-    exceeds the budget, the BudgetExceededError raised carries the vector of
-    the sizes finished before it as `partial` (size `partial.r_max + 1` was
-    cut).
+    when only small coalitions are of interest.  The inputs and the budget
+    are checked once, then `deviates` decides each coalition.  When a
+    coalition's search exceeds the budget, the BudgetExceededError raised
+    carries the vector of the sizes finished before it as `partial` (size
+    `partial.r_max + 1` was cut).
     """
+    check_kind(kind)
     profile = game.validate_profile(profile)
     n = game.player_count
     if r_max is None:
         r_max = n
     if not 1 <= r_max <= n:
         raise InputError(f"r_max {r_max} outside 1..{n}")
+    limit = search_budget(budget)
     counts = []
     try:
         for r in range(1, r_max + 1):
             hits = 0
             for members in itertools.combinations(range(n), r):
-                if has_deviation(game, profile, members, kind, budget):
+                if deviates(game, profile, members, kind, limit):
                     hits += 1
             counts.append(hits)
     except BudgetExceededError as exc:
@@ -390,28 +399,29 @@ def game_from_document(doc: dict, generator_resolvers: Optional[dict] = None):
         game, extra = resolvers[name](utilities.get("params", {}))
         profiles = dict(extra)
     elif utilities.get("kind") == "table":
-        n = doc["players"]
-        action_counts = tuple(doc["action_counts"])
         table = {}
-        for entry in utilities["entries"]:
-            prof = tuple(entry["profile"])
-            table[prof] = tuple(rational_from_str(p) for p in entry["payoffs"])
-        expected = 1
-        for c in action_counts:
-            expected *= c
-        if len(table) != expected:
-            raise InputError(
-                f"utility table has {len(table)} entries, expected {expected}"
-            )
 
         def utility(i, profile, _table=table):
             return _table[tuple(profile)][i]
 
-        game = FiniteGame(n, action_counts, utility)
+        game = FiniteGame(doc["players"], tuple(doc["action_counts"]), utility)
+        for entry in utilities["entries"]:
+            payoffs = tuple(rational_from_str(p) for p in entry["payoffs"])
+            if len(payoffs) != game.n:
+                raise InputError(f"table entry {entry['profile']} has "
+                                 f"{len(payoffs)} payoffs, expected {game.n}")
+            table[game.validate_profile(entry["profile"])] = payoffs
+        if len(table) != prod(game.action_counts):
+            raise InputError(f"utility table has {len(table)} entries, "
+                             f"expected {prod(game.action_counts)}")
         profiles = {}
     else:
         raise InputError("utilities.kind must be 'table' or 'generator'")
 
+    header = (doc.get("players"), list(doc.get("action_counts") or ()))
+    if header != (game.n, list(game.action_counts)):
+        raise InputError(f"header gives players and action_counts {header}, "
+                         f"the game has {game.n} and {list(game.action_counts)}")
     for name, prof in (doc.get("profiles") or {}).items():
         profiles[name] = game.validate_profile(prof)
     return game, profiles

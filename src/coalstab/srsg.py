@@ -81,7 +81,7 @@ def validate_assignment(inst: SrsgInstance, assignment: Sequence) -> Assignment:
         if len(row) != inst.n:
             raise InputError("each step needs one resource per agent")
         for r in row:
-            if not (isinstance(r, int) and 0 <= r < inst.m):
+            if not (type(r) is int and 0 <= r < inst.m):  # nor a bool
                 raise InputError(f"resource index {r!r} out of range")
     return rows
 
@@ -298,11 +298,9 @@ def count_pair_deviations(inst: SrsgInstance, assignment: Sequence,
     if method == "bruteforce":
         game = induced_game(inst)
         profile = assignment_to_profile(inst, assignment)
-        count = 0
-        for pair in itertools.combinations(range(inst.n), 2):
-            if games.has_deviation(game, profile, pair, games.STRICT):
-                count += 1
-        return count
+        limit = games.search_budget()
+        return sum(games.deviates(game, profile, pair, games.STRICT, limit)
+                   for pair in itertools.combinations(range(inst.n), 2))
     raise InputError("method must be 'structural' or 'bruteforce'")
 
 
@@ -478,6 +476,12 @@ def _pareto_max(vectors) -> list:
 def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     """The SRSG as a FiniteGame (utilities are negated total costs).
 
+    Loads are packed ints: action a is one int with a 1 in field t*m + r_t
+    for each step t, where a picks resource r_t, each field `n.bit_length()`
+    bits wide.  A profile's sum holds every step's loads, and a load is at
+    most n, so no field carries into the next.  `utility` reads the agent's
+    k fields of that sum with a shift and a mask each.
+
     Ships an exact `deviation_test` hook, in agreement with the generic scan
     on every input.  A member's cost is a sum over steps, and a step's loads
     depend only on that step's choices, so the hook folds the steps one at a
@@ -488,8 +492,9 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     still end in a deviation: costs are nonnegative, so a slack below 0
     (weak) or at most 0 (strict) never recovers.  The coalition deviates
     when a slack vector survives the last step, with some entry above 0 for
-    a weak deviation.  The memo and the profile's loads are kept for one
-    profile at a time and dropped when a call brings another.
+    a weak deviation.  The memo and the profile's loads, unpacked into
+    per-step lists, are kept for one profile at a time and dropped when a
+    call brings another.
     """
     decode = _decode_table(inst)
     values = inst.cost.values
@@ -497,18 +502,17 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     action_count = m ** k
     scale = lcm(*(Fraction(v).denominator for v in values))
     costs = [int(v * scale) for v in values]
-
-    def loads_of(profile):
-        loads = [[0] * m for _ in range(k)]
-        for action in profile:
-            for t, r in enumerate(decode[action]):
-                loads[t][r] += 1
-        return loads
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    shifts = [[width * (t * m + r) for t, r in enumerate(row)] for row in decode]
+    packed = [sum(1 << s for s in row) for row in shifts]
 
     def utility(agent: int, profile):
-        loads = loads_of(profile)
-        own = decode[profile[agent]]
-        return -sum(values[loads[t][own[t]] - 1] for t in range(k))
+        loads = sum(map(packed.__getitem__, profile))
+        cost = 0
+        for s in shifts[profile[agent]]:
+            cost += values[(loads >> s & mask) - 1]
+        return -cost
 
     memo = {}  # (sorted outsider loads, coalition size) -> step-cost vectors
     current = {}  # the profile the memo belongs to, its loads and costs
@@ -516,7 +520,9 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     def deviation_test(members, profile, kind):
         if current.get("profile") != profile:
             memo.clear()
-            loads = loads_of(profile)
+            total = sum(map(packed.__getitem__, profile))
+            loads = [[total >> width * (t * m + r) & mask for r in range(m)]
+                     for t in range(k)]
             current.update(profile=profile, loads=loads, base=[
                 sum(costs[loads[t][r] - 1] for t, r in enumerate(decode[a]))
                 for a in profile])

@@ -22,6 +22,26 @@ SPLIT = ((0, 0, 1, 1, 2, 3), (0, 1, 0, 1, 2, 3))
 ROTATE = ((0, 0, 1, 1, 2, 3), (0, 1, 2, 3, 0, 1))
 
 
+def _two_by_one(utilities):
+    """A game document for 2 players with (2, 1) actions and profile p."""
+    return {"format": games.GAME_FORMAT, "version": 1, "players": 2,
+            "action_counts": [2, 1], "profiles": {"p": [0, 0]}, "utilities": utilities}
+
+
+# Game documents that must fail at load, each for the reason in its name.
+BAD_DOCUMENTS = {
+    "short_payoffs": _two_by_one({"kind": "table", "entries": [
+        {"profile": [0, 0], "payoffs": ["1/1", "0/1"]},
+        {"profile": [1, 0], "payoffs": ["2/1"]}]}),
+    "action_out_of_range": _two_by_one({"kind": "table", "entries": [
+        {"profile": [0, 0], "payoffs": ["1/1", "0/1"]},
+        {"profile": [5, 0], "payoffs": ["2/1", "1/1"]}]}),
+    "header_disagrees": {**_two_by_one({"kind": "generator", "name": "srsg",
+                                        "params": {"m": 2, "n": 3, "k": 2}}),
+                         "profiles": {"p": [0, 0, 0]}},
+}
+
+
 @pytest.fixture(scope="session")
 def small_instance():
     return srsg.SrsgInstance(4, 6, 2, srsg.CostFn.linear(6))

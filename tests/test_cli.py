@@ -11,7 +11,7 @@ import pytest
 from coalstab import cli, games, srsg
 from coalstab.errors import InputError
 from coalstab.tables import ResultTable
-from conftest import REPEAT
+from conftest import BAD_DOCUMENTS, REPEAT
 
 
 @pytest.fixture()
@@ -41,6 +41,15 @@ class TestScoreCommand:
                                "--profile", "missing")
         assert code == 1
         assert "error" in json.loads(err.strip())
+
+    @pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+    def test_malformed_game_file_is_bad_input(self, capsys, tmp_path, name):
+        path = tmp_path / "bad.json"
+        games.save_game(path, BAD_DOCUMENTS[name])
+        code, out, err = run_cli(capsys, "score", "--game", str(path), "--profile",
+                                 "p", "--kind", "weak", "--rmax", "2")
+        assert (code, out) == (1, "")
+        assert json.loads(err.strip())["error"] == "InputError"
 
     def test_budget_exhaustion_truncates_with_marker(self, capsys, example_game):
         code, out, err = run_cli(capsys, "score", "--game", example_game,

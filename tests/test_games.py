@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from coalstab import auction, games, srsg
 from coalstab.errors import BudgetExceededError, InputError
-from conftest import REPEAT, ROTATE, SPLIT, is_nash_profile
+from conftest import BAD_DOCUMENTS, REPEAT, ROTATE, SPLIT, is_nash_profile
 
 
 def coordination_game():
@@ -331,6 +331,11 @@ class TestGameDocuments:
                "utilities": {"kind": "generator", "name": "mystery"}}
         with pytest.raises(InputError):
             games.game_from_document(doc)
+
+    @pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+    def test_malformed_documents_rejected_at_load(self, name):
+        with pytest.raises(InputError):
+            games.game_from_document(BAD_DOCUMENTS[name], srsg.GENERATOR_RESOLVERS)
 
     @settings(max_examples=80)
     @given(data=st.data())

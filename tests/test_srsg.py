@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from coalstab import games, srsg
 from coalstab.errors import ContractError, InputError
-from conftest import REPEAT, SPLIT, is_nash_profile, profile_to_assignment, total_cost
+from conftest import REPEAT, ROTATE, SPLIT, is_nash_profile, profile_to_assignment, total_cost
 
 
 def game_cost(inst, assignment, agent):
@@ -371,24 +371,56 @@ class TestEncoding:
             srsg.validate_assignment(small_instance, ((0,) * 6,))
         with pytest.raises(InputError):
             srsg.validate_assignment(small_instance, ((0,) * 6, (9,) * 6))
+        with pytest.raises(InputError):  # a bool is not a resource index
+            srsg.validate_assignment(srsg.SrsgInstance(2, 3, 2, srsg.CostFn.linear(3)),
+                                     ((True, False, 0), (0, 1, 1)))
         with pytest.raises(InputError):
             srsg.SrsgInstance(1, 6, 2, srsg.CostFn.linear(6))
         with pytest.raises(InputError):
             srsg.CostFn((3, 2, 1))
 
+    # all n agents on the last resource in every step fill the top field to
+    # n, at both ends of the field widths 2, 3 and 4; the cost table runs to
+    # load n + 1, so a field that wrapped to 0 cannot read the right cost
+    # from values[-1]
+    @settings(max_examples=150)
+    @given(m=st.integers(2, 5), n=st.integers(2, 17), k=st.integers(2, 4),
+           data=st.data())
+    @example(m=2, n=3, k=2, data=None)
+    @example(m=3, n=4, k=2, data=None)
+    @example(m=2, n=7, k=3, data=None)
+    @example(m=4, n=8, k=2, data=None)
+    @example(m=5, n=15, k=4, data=None)
+    @example(m=3, n=16, k=3, data=None)
+    def test_packed_utility_is_negated_total_cost(self, m, n, k, data):
+        if data is None:
+            cost, profile = srsg.CostFn.linear(n + 1), (m ** k - 1,) * n
+        else:
+            cost = data.draw(st.one_of(st.just(srsg.CostFn.linear(n)), costs(n)))
+            action = st.integers(0, m ** k - 1)
+            profile = tuple(data.draw(st.lists(action, min_size=n, max_size=n)))
+        inst = srsg.SrsgInstance(m, n, k, cost)
+        game = srsg.induced_game(inst)
+        assignment = profile_to_assignment(inst, profile)
+        for agent in range(n):  # the same value of the same type: int or Fraction
+            got, want = game.utility(agent, profile), -total_cost(inst, assignment, agent)
+            assert (got, type(got)) == (want, type(want))
+
+
+def costs(n):
+    """Random nondecreasing costs up to load n: flat stretches and zero
+    costs included, some steps fractional."""
+    rises = st.lists(st.sampled_from((0, 0, 1, 2, Fraction(1, 2), Fraction(5, 3))),
+                     min_size=n, max_size=n)
+    return rises.map(lambda r: srsg.CostFn(tuple(itertools.accumulate(r))))
+
 
 @st.composite
 def srsg_cases(draw):
-    """An srsg instance with a linear or a random nondecreasing cost (flat
-    stretches and zero costs included, some steps fractional), two
+    """An srsg instance with a linear or a random nondecreasing cost, two
     arbitrary profiles and a few coalitions of at most three agents."""
     m, n, k = draw(st.integers(2, 3)), draw(st.integers(3, 6)), draw(st.integers(2, 3))
-    if draw(st.booleans()):
-        cost = srsg.CostFn.linear(n)
-    else:
-        rises = draw(st.lists(st.sampled_from((0, 0, 1, 2, Fraction(1, 2), Fraction(5, 3))),
-                              min_size=n, max_size=n))
-        cost = srsg.CostFn(tuple(itertools.accumulate(rises)))
+    cost = srsg.CostFn.linear(n) if draw(st.booleans()) else draw(costs(n))
     inst = srsg.SrsgInstance(m, n, k, cost)
     action = st.integers(0, m ** k - 1)
     profiles = [tuple(draw(st.lists(action, min_size=n, max_size=n))) for _ in range(2)]
@@ -430,3 +462,29 @@ class TestDeviationTest:
         assert games.find_deviation(hooked, profile, (0, 1)) == \
             games._generic_search(game, (0, 1), profile, games.STRICT)
         assert calls
+
+
+class TestGenericScanWork:
+    """The generic scan's utility calls on srsg(4,6,2) up to r = 3, pinned,
+    so that a faster scan cannot come from doing less work."""
+
+    @pytest.mark.parametrize("assignment,kind,counts,calls", [
+        (REPEAT, games.STRICT, (0, 2, 0), 104_694),
+        (REPEAT, games.WEAK, (0, 2, 8), 92_250),
+        (ROTATE, games.STRICT, (0, 0, 0), 101_608),
+        (ROTATE, games.WEAK, (0, 4, 14), 49_103),
+    ], ids=["repeat-strict", "repeat-weak", "rotate-strict", "rotate-weak"])
+    def test_utility_calls_are_pinned(self, small_instance, small_game, assignment,
+                                      kind, counts, calls):
+        made = 0
+
+        def utility(agent, profile):
+            nonlocal made
+            made += 1
+            return small_game.utility(agent, profile)
+
+        generic = games.FiniteGame(small_game.player_count, small_game.action_counts,
+                                   utility)
+        profile = srsg.assignment_to_profile(small_instance, assignment)
+        assert games.score_vector(generic, profile, kind, r_max=3).counts == counts
+        assert made == calls
