@@ -18,7 +18,7 @@ from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import ContractError, InputError, TieError
-from .games import WEAK, check_budget, check_kind, first_deviation, rebids
+from .games import WEAK, check_budget, check_kind, first_deviation, rebids, scaled
 from .records import Record
 
 LE = "le"
@@ -207,13 +207,6 @@ def equilibrium_bids(inst: AuctionInstance, eq: str) -> tuple:
 # those thresholds.
 # ---------------------------------------------------------------------------
 
-def _scaled(values) -> list:
-    """`Fraction`s times the lcm of their denominators: ints in the same
-    ratios."""
-    scale = lcm(*(f.denominator for f in values))
-    return [f.numerator * (scale // f.denominator) for f in values]
-
-
 def _deviation_thresholds(inst: AuctionInstance, eq: str) -> list:
     """lo[j] for j = 2..s+1: the pair (k, j) deviates exactly when
     lo[j] <= k <= j-1 (lo[j] = j-1 when only the neighbour does).
@@ -224,9 +217,9 @@ def _deviation_thresholds(inst: AuctionInstance, eq: str) -> list:
     the prefix sum sum_{u=2..t} (x_{u-1}-x_u) v'_u, loss(k) =
     v_k (x_k - x_{j-1}) - (W[j-1] - W[k]) the margin k forfeits,
     a_j = x_{j-1} - x_j and T_j = W[s+1] - W[j].  CTRs and values are
-    scaled once to ints (each by the lcm of its denominators; both sides of
-    the test scale alike) and the test is multiplied by x_j > 0 (j <= s) to
-    clear the division.
+    scaled once to ints (`scaled`, each vector by its own common
+    denominator; both sides of the test scale alike) and the test is
+    multiplied by x_j > 0 (j <= s) to clear the division.
 
     For fixed j, loss(k) never increases with k:
     loss(k) - loss(k+1) = (v_k - v_{k+1}) (x_k - x_{j-1}) at LE and
@@ -240,8 +233,8 @@ def _deviation_thresholds(inst: AuctionInstance, eq: str) -> list:
         raise InputError(f"equilibrium must be one of {_EQUILIBRIA}")
     inst.require_competition()
     s = inst.s
-    x = _scaled([inst.ctr(i) for i in range(0, s + 2)])  # x[0] unused
-    v = _scaled([inst.value(i) for i in range(0, s + 2)])  # v[0] = 0 unused
+    x = scaled([inst.ctr(i) for i in range(0, s + 2)])  # x[0] unused
+    v = scaled([inst.value(i) for i in range(0, s + 2)])  # v[0] = 0 unused
     vr = [0] + v[:-1] if eq == UE else v  # vr[t] = value attached to rank t
     W = [0] * (s + 2)
     for u in range(2, s + 2):
@@ -274,14 +267,10 @@ def deviating_pairs(inst: AuctionInstance, eq: str) -> list:
 
     Every neighbour pair (k, k+1) deviates; a distant pair deviates exactly
     when k >= lo[j].  Exact int arithmetic, one threshold per target rank:
-    O(s log s) plus the length of the list.
+    O(s log s) plus sorting the list.
     """
     lo = _deviation_thresholds(inst, eq)
-    targets = [[] for _ in range(inst.s + 1)]
-    for j in range(2, inst.s + 2):
-        for k in range(lo[j], j):
-            targets[k].append(j)
-    return [(k, j) for k in range(1, inst.s + 1) for j in targets[k]]
+    return sorted((k, j) for j in range(2, inst.s + 2) for k in range(lo[j], j))
 
 
 def count_pair_deviations(inst: AuctionInstance, eq: str) -> int:
@@ -430,15 +419,19 @@ def bid_grid(inst: AuctionInstance, bids: Sequence, refine: int = 4) -> tuple:
     if refine < 1:
         raise InputError("refine must be at least 1")
     anchors = sorted({Fraction(b) for b in bids})
-    lo = [Fraction(0)] + anchors
-    hi = anchors + [2 * anchors[-1]]
-    points = set(anchors)
-    steps = 2 * refine
-    for a, b in zip(lo, hi):
-        gap = b - a
-        for t in range(1, steps):
-            points.add(a + gap * t / steps)
-    return tuple(sorted(points))
+    points = gap_points([Fraction(0), *anchors, 2 * anchors[-1]], 2 * refine)
+    return tuple(sorted(points.union(anchors)))
+
+
+def gap_points(anchors: Sequence, pieces: int) -> set:
+    """The pieces - 1 evenly spaced interior points of each gap between
+    consecutive `anchors` (ascending `Fraction`s): the grid rule of
+    `bid_grid` and `reserve.misreport_grid`."""
+    points = set()
+    for a, b in zip(anchors, anchors[1:]):
+        step = (b - a) / pieces
+        points.update(a + step * t for t in range(1, pieces))
+    return points
 
 
 def untied_joints(joints, profile: Sequence, positions: Sequence):
@@ -574,34 +567,17 @@ def make_shape(spec: ShapeSpec) -> tuple:
         return tuple(high - step * i for i in range(L))
     if spec.low is not None:
         raise InputError("only linear shapes take a low endpoint")
-    if spec.kind == "convex":
-        # harmonic-style drops: d_i = 1/(i+1), strictly shrinking
-        vec = [Fraction(0)] * L
-        vec[L - 1] = Fraction(1)
-        for i in range(L - 2, -1, -1):
-            vec[i] = vec[i + 1] + Fraction(1, i + 2)
-    elif spec.kind == "concave":
-        vec = [Fraction(0)] * L
-        vec[L - 1] = Fraction(L)
-        for i in range(L - 2, -1, -1):
-            vec[i] = vec[i + 1] + Fraction(1, L - i)  # drops grow toward the end
+    # each kind gives its last entry and drops[i] = vec[i] - vec[i+1]
+    beta = spec.beta
+    if spec.kind == "convex":  # harmonic-style drops, strictly shrinking
+        last, drops = Fraction(1), [Fraction(1, i + 2) for i in range(L - 1)]
+    elif spec.kind == "concave":  # drops grow toward the end
+        last, drops = Fraction(L), [Fraction(1, L - i) for i in range(L - 1)]
     elif spec.kind == "beta_convex":
-        beta = spec.beta
-        vec = [Fraction(0)] * L
-        vec[L - 1] = Fraction(1)
-        drop = Fraction(1)
-        for i in range(L - 2, -1, -1):
-            vec[i] = vec[i + 1] + drop
-            drop *= beta
-    else:  # beta_concave
-        beta = spec.beta
-        tail = beta ** L  # keeps late values far above every early difference
-        vec = [Fraction(0)] * L
-        vec[L - 1] = tail
-        drop = beta ** (L - 2)
-        for i in range(L - 2, -1, -1):
-            vec[i] = vec[i + 1] + drop
-            drop /= beta
+        last, drops = Fraction(1), [beta ** (L - 2 - i) for i in range(L - 1)]
+    else:  # beta_concave: beta^L keeps late values far above early differences
+        last, drops = beta ** L, [beta ** i for i in range(L - 1)]
+    vec = list(itertools.accumulate(reversed(drops), initial=last))[::-1]
     if spec.high is not None:
         scale = spec.high / vec[0]
         vec = [scale * v for v in vec]

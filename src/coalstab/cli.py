@@ -21,15 +21,6 @@ from .tables import ResultTable
 
 _WORKERS_ENV = "COALSTAB_WORKERS"
 
-SHAPE_ALIASES = {
-    "linear": "linear",
-    "convex": "convex",
-    "concave": "concave",
-    "beta-convex": "beta_convex",
-    "beta-concave": "beta_concave",
-}
-
-
 def _workers() -> int:
     raw = os.environ.get(_WORKERS_ENV)
     return max(1, int(raw)) if raw else 1
@@ -37,7 +28,8 @@ def _workers() -> int:
 
 def parse_shape(text: str, length: int) -> tuple:
     """Shape spec notation: 'linear', 'linear:10..1', 'beta-convex:2',
-    'concave', or an explicit comma list like '10,6,2'."""
+    'concave', or an explicit comma list like '10,6,2'.  A shape's name is
+    its `auction.SHAPE_KINDS` kind with '-' for '_'."""
     from . import auction
     text = text.strip()
     if "," in text:
@@ -46,9 +38,9 @@ def parse_shape(text: str, length: int) -> tuple:
             raise InputError(f"expected {length} values, got {len(values)}")
         return values
     name, _, arg = text.partition(":")
-    if name not in SHAPE_ALIASES:
+    kind = name.replace("-", "_")
+    if "_" in name or kind not in auction.SHAPE_KINDS:
         raise InputError(f"unknown shape {name!r}")
-    kind = SHAPE_ALIASES[name]
     beta = high = low = None
     if kind.startswith("beta_"):
         if not arg:
@@ -61,13 +53,12 @@ def parse_shape(text: str, length: int) -> tuple:
     return auction.make_shape(auction.ShapeSpec(kind, length, beta, high, low))
 
 
-def build_instance(args) -> "auction.AuctionInstance":
+def build_instance(s: int, n, v: str, x: str) -> "auction.AuctionInstance":
+    """s slots and n bidders (2s when n is None), values of shape `v` and
+    CTRs of shape `x` in `parse_shape` notation."""
     from . import auction
-    s = args.s
-    n = args.n if args.n is not None else 2 * s
-    values = parse_shape(args.v, n)
-    ctrs = parse_shape(args.x, s)
-    return auction.AuctionInstance(s, values, ctrs)
+    values = parse_shape(v, 2 * s if n is None else n)
+    return auction.AuctionInstance(s, values, parse_shape(x, s))
 
 
 def _provenance(args, command: str, seed=None) -> dict:
@@ -195,16 +186,13 @@ def cmd_auction(args) -> int:
         m2 = auction.potential_count(args.s, 2)
         for v_shape in TABLE1_SHAPES:
             for x_shape in TABLE1_SHAPES:
-                inst = auction.AuctionInstance(
-                    args.s,
-                    parse_shape(v_shape, args.n if args.n is not None else 2 * args.s),
-                    parse_shape(x_shape, args.s))
+                inst = build_instance(args.s, args.n, v_shape, x_shape)
                 d2 = auction.count_pair_deviations(inst, args.eq)
                 table.append(v_shape, x_shape, args.s, d2, m2, d2 / m2)
         _emit(table, args)
         return 0
 
-    inst = build_instance(args)
+    inst = build_instance(args.s, args.n, args.v, args.x)
     table = ResultTable(("eq", "s", "r", "count", "potential", "ratio"),
                         provenance=_provenance(args, "auction"))
     counts = [(2, True)] if args.count_pairs else []
@@ -241,7 +229,7 @@ def cmd_reserve(args) -> int:
                          "it needs --mode star")
     if args.mode == "star-lambda" and args.lam is None:
         raise InputError("--mode star-lambda needs --lambda")
-    inst = build_instance(args)
+    inst = build_instance(args.s, args.n, args.v, args.x)
     report = {"provenance": _provenance(args, "reserve"), "mode": args.mode}
     cut = None
     if args.mode == "fixed":
@@ -299,6 +287,8 @@ def parse_range(text: str) -> range:
     if not m:
         raise InputError(f"range must look like A:B or A:B:STEP, got {text!r}")
     lo, hi, step = int(m.group(1)), int(m.group(2)), int(m.group(3) or 1)
+    if step == 0:
+        raise InputError(f"range step must be positive, got {text!r}")
     return range(lo, hi + 1, step)
 
 
@@ -339,8 +329,7 @@ def cmd_sweep(args) -> int:
     table = ResultTable(("v_shape", "x_shape", "s", "eq", "d2", "m2"),
                         provenance=_provenance(args, "sweep"))
     for s in parse_range(args.s):
-        inst = auction.AuctionInstance(s, parse_shape(args.v, 2 * s),
-                                       parse_shape(args.x, s))
+        inst = build_instance(s, None, args.v, args.x)
         d2 = auction.count_pair_deviations(inst, args.eq)
         table.append(args.v.strip(), args.x.strip(), s, args.eq,
                      d2, auction.potential_count(s, 2))

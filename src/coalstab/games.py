@@ -12,7 +12,7 @@ import itertools
 import json
 import os
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, InputError
@@ -54,6 +54,13 @@ def check_budget(space: int, budget: Optional[int] = None,
     limit = search_budget(budget)
     if space > limit:
         raise BudgetExceededError(space, limit, unit)
+
+
+def scaled(values) -> list:
+    """Rationals (ints or `Fraction`s) times the lcm of their denominators:
+    ints in the same ratios."""
+    scale = lcm(*(f.denominator for f in values))
+    return [f.numerator * (scale // f.denominator) for f in values]
 
 
 def check_kind(kind: str) -> None:
@@ -383,30 +390,42 @@ def game_from_document(doc: dict, generator_resolvers: Optional[dict] = None):
     """Build (game, named_profiles) from an exchange document.
 
     Generator references are resolved through `generator_resolvers`, a mapping
-    from generator name to a callable `params -> (FiniteGame, extra_profiles)`.
+    from generator name to a callable `params -> FiniteGame`.  A malformed
+    document is an InputError: a missing key, a value of the wrong JSON type
+    (`players` and `action_counts` hold ints, and a bool is not one), a
+    payoff that is no rational, or a header that disagrees with the game.
     """
-    if doc.get("format") != GAME_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != GAME_FORMAT:
         raise InputError(f"not a {GAME_FORMAT} document")
     utilities = doc.get("utilities")
     if not isinstance(utilities, dict):
         raise InputError("document lacks a utilities section")
-
+    players, counts = doc.get("players"), doc.get("action_counts")
+    if not (type(players) is int and isinstance(counts, list)
+            and all(type(c) is int for c in counts)):
+        raise InputError("players must be an int and action_counts a list of ints")
     if utilities.get("kind") == "generator":
         name = utilities.get("name")
         resolvers = generator_resolvers or {}
-        if name not in resolvers:
+        if not isinstance(name, str) or name not in resolvers:
             raise InputError(f"no resolver for generator {name!r}")
-        game, extra = resolvers[name](utilities.get("params", {}))
-        profiles = dict(extra)
+        game = resolvers[name](utilities.get("params", {}))
     elif utilities.get("kind") == "table":
-        table = {}
-
-        def utility(i, profile, _table=table):
-            return _table[tuple(profile)][i]
-
-        game = FiniteGame(doc["players"], tuple(doc["action_counts"]), utility)
-        for entry in utilities["entries"]:
-            payoffs = tuple(rational_from_str(p) for p in entry["payoffs"])
+        entries, table = utilities.get("entries"), {}
+        if not isinstance(entries, list):
+            raise InputError("a utility table needs a list of entries")
+        game = FiniteGame(players, tuple(counts),
+                          lambda i, profile: table[tuple(profile)][i])
+        for entry in entries:
+            if not (isinstance(entry, dict)
+                    and isinstance(entry.get("profile"), list)
+                    and isinstance(entry.get("payoffs"), list)):
+                raise InputError(f"table entry {entry!r} needs a profile "
+                                 "list and a payoffs list")
+            try:
+                payoffs = tuple(map(rational_from_str, entry["payoffs"]))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError(f"table entry {entry['profile']}: {exc}") from None
             if len(payoffs) != game.n:
                 raise InputError(f"table entry {entry['profile']} has "
                                  f"{len(payoffs)} payoffs, expected {game.n}")
@@ -414,17 +433,16 @@ def game_from_document(doc: dict, generator_resolvers: Optional[dict] = None):
         if len(table) != prod(game.action_counts):
             raise InputError(f"utility table has {len(table)} entries, "
                              f"expected {prod(game.action_counts)}")
-        profiles = {}
     else:
         raise InputError("utilities.kind must be 'table' or 'generator'")
-
-    header = (doc.get("players"), list(doc.get("action_counts") or ()))
+    header = (players, counts)
     if header != (game.n, list(game.action_counts)):
         raise InputError(f"header gives players and action_counts {header}, "
                          f"the game has {game.n} and {list(game.action_counts)}")
-    for name, prof in (doc.get("profiles") or {}).items():
-        profiles[name] = game.validate_profile(prof)
-    return game, profiles
+    named = doc.get("profiles", {})
+    if not (isinstance(named, dict) and all(isinstance(p, list) for p in named.values())):
+        raise InputError("profiles must map names to action lists")
+    return game, {name: game.validate_profile(p) for name, p in named.items()}
 
 
 def save_game(path, doc: dict) -> None:

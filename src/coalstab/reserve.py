@@ -21,7 +21,7 @@ import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .auction import AuctionInstance, untied_joints, welfare_prices
+from .auction import AuctionInstance, gap_points, untied_joints, welfare_prices
 from .errors import ContractWarning, InputError
 from .games import WEAK, check_budget, first_deviation, rebids
 from .records import Record
@@ -149,12 +149,7 @@ def misreport_grid(inst: AuctionInstance, agent: int, refine: int,
     if refine < 1:
         raise InputError("refine must be at least 1")
     anchors = sorted(set(inst.values) | {Fraction(0), Fraction(v_max)})
-    pieces = 2 ** refine
-    points = set()
-    for lo, hi in zip(anchors, anchors[1:]):
-        gap = hi - lo
-        for t in range(1, pieces):
-            points.add(lo + gap * t / pieces)
+    points = gap_points(anchors, 2 ** refine)
     gaps = [b - a for a, b in zip(anchors, anchors[1:])]
     delta = min(gaps) / 4 / 2 ** (refine - 1)
     own = inst.values[agent]

@@ -12,7 +12,7 @@ search over the induced finite game stays available as an independent check.
 import itertools
 import random
 from fractions import Fraction
-from math import ceil, comb, exp, lcm
+from math import ceil, comb, exp
 from typing import Optional, Sequence
 
 from . import games
@@ -86,46 +86,35 @@ def validate_assignment(inst: SrsgInstance, assignment: Sequence) -> Assignment:
     return rows
 
 
-def step_loads(inst: SrsgInstance, assignment: Assignment) -> list:
-    """loads[t][r] = number of agents on resource r at step t."""
-    loads = []
-    for row in assignment:
-        counts = [0] * inst.m
-        for r in row:
-            counts[r] += 1
-        loads.append(counts)
-    return loads
+def _groups(m: int, row: Sequence) -> list:
+    """groups[r] = the agents on resource r in one step's `row`, ascending."""
+    groups = [[] for _ in range(m)]
+    for agent, r in enumerate(row):
+        groups[r].append(agent)
+    return groups
 
 
 def is_nash(inst: SrsgInstance, assignment: Sequence) -> bool:
     """No agent can lower its cost at any single step by switching resources.
 
     Steps are independent, so per-step optimality of every agent is exactly
-    unilateral optimality in the whole game.
+    unilateral optimality in the whole game.  Costs are nondecreasing in the
+    load, so at each step the agents on a fullest resource pay the most and
+    joining an emptiest one costs the least.
     """
-    assignment = validate_assignment(inst, assignment)
-    loads = step_loads(inst, assignment)
     values = inst.cost.values
-    for t in range(inst.k):
-        counts = loads[t]
-        cheapest_entry = values[min(counts)]  # cost after joining the emptiest
-        for agent in range(inst.n):
-            own = values[counts[assignment[t][agent]] - 1]
-            if own > cheapest_entry:
-                return False
+    for row in validate_assignment(inst, assignment):
+        loads = [row.count(r) for r in range(inst.m)]
+        if values[max(loads) - 1] > values[min(loads)]:
+            return False
     return True
 
 
 def _nearly_balanced_partition(inst: SrsgInstance) -> tuple:
     """Agents grouped consecutively: the first q resources take one extra."""
-    row = [0] * inst.n
-    agent = 0
+    row = []
     for resource in range(inst.m):
-        size = inst.full_load if resource < inst.q else inst.n // inst.m
-        for _ in range(size):
-            if agent < inst.n:
-                row[agent] = resource
-                agent += 1
+        row += [resource] * (inst.full_load if resource < inst.q else inst.n // inst.m)
     return tuple(row)
 
 
@@ -158,21 +147,14 @@ def build_scatter_ne(inst: SrsgInstance) -> Assignment:
     q, m = inst.q, inst.m
     if q == 0:
         return (first, first)
+    groups = _groups(m, first)
+    second = list(first)
     if 2 * q <= m:
-        second = list(first)
-        groups = [[] for _ in range(m)]
-        for agent, r in enumerate(first):
-            groups[r].append(agent)
         for f in range(q):
-            moved = groups[f][-1]
-            second[moved] = q + f  # targets are distinct underfull resources
-        return (first, tuple(second))
-    second = [0] * inst.n
-    position = 0
-    for r in range(m):
-        for agent in (a for a in range(inst.n) if first[a] == r):
+            second[groups[f][-1]] = q + f  # targets are distinct underfull resources
+    else:
+        for position, agent in enumerate(a for group in groups for a in group):
             second[agent] = position % m
-            position += 1
     return (first, tuple(second))
 
 
@@ -268,12 +250,8 @@ def _structural_pair_count(inst: SrsgInstance, assignment: Assignment) -> int:
     """Count pairs sharing an overfull resource in two or more steps."""
     if inst.q == 0:
         return 0
-    full_groups = []
-    for row in assignment:
-        groups = [[] for _ in range(inst.m)]
-        for agent, r in enumerate(row):
-            groups[r].append(agent)
-        full_groups += (g for g in groups if len(g) == inst.full_load)
+    full_groups = [g for row in assignment for g in _groups(inst.m, row)
+                   if len(g) == inst.full_load]
     return _pairs_met_twice([1 << a for a in range(inst.n)], full_groups)
 
 
@@ -500,8 +478,7 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     values = inst.cost.values
     m, n, k = inst.m, inst.n, inst.k
     action_count = m ** k
-    scale = lcm(*(Fraction(v).denominator for v in values))
-    costs = [int(v * scale) for v in values]
+    costs = games.scaled(values)
     width = n.bit_length()
     mask = (1 << width) - 1
     shifts = [[width * (t * m + r) for t, r in enumerate(row)] for row in decode]
@@ -580,16 +557,25 @@ def game_document(inst: SrsgInstance, profiles: Optional[dict] = None) -> dict:
     return doc
 
 
-def resolve_generator(params: dict):
-    """Generator hook for games.game_from_document."""
-    cost_param = params.get("cost", "linear")
-    n = int(params["n"])
-    if cost_param == "linear":
+def resolve_generator(params: dict) -> games.FiniteGame:
+    """Generator hook for games.game_from_document: `params` holds the ints
+    m, n and k (a bool or a float is not one) and the cost, "linear" (the
+    default) or a list of rationals."""
+    m, n, k = ((params.get(p) for p in "mnk") if isinstance(params, dict)
+               else (None,) * 3)
+    if not all(type(x) is int for x in (m, n, k)):
+        raise InputError("srsg generator needs int parameters m, n and k")
+    cost = params.get("cost", "linear")
+    if cost == "linear":
         cost = CostFn.linear(n)
+    elif isinstance(cost, list):
+        try:
+            cost = CostFn(tuple(map(games.rational_from_str, cost)))
+        except (ValueError, ZeroDivisionError) as exc:  # CostFn's InputError too
+            raise InputError(f"srsg cost: {exc}") from None
     else:
-        cost = CostFn(tuple(games.rational_from_str(v) for v in cost_param))
-    inst = SrsgInstance(int(params["m"]), n, int(params["k"]), cost)
-    return induced_game(inst), {}
+        raise InputError("srsg cost must be 'linear' or a list of rationals")
+    return induced_game(SrsgInstance(m, n, k, cost))
 
 
 GENERATOR_RESOLVERS = {"srsg": resolve_generator}

@@ -28,6 +28,31 @@ def _two_by_one(utilities):
             "action_counts": [2, 1], "profiles": {"p": [0, 0]}, "utilities": utilities}
 
 
+def _entries(*payoffs):
+    """The table entries of `_two_by_one` for profiles (0, 0) and (1, 0)."""
+    return [{"profile": [a, 0], "payoffs": list(p)} for a, p in enumerate(payoffs)]
+
+
+def _table(**changes):
+    """A valid `_two_by_one` table document with top-level `changes`; a
+    change to None drops the key."""
+    doc = {**_two_by_one({"kind": "table", "entries": _entries(
+        ["1/1", "0/1"], ["2/1", "1/1"])}), **changes}
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def _srsg_doc(**params):
+    """The srsg(2,3,2) generator document, its header and profile p
+    written out, with `params` replacing the generator's."""
+    doc = _two_by_one({"kind": "generator", "name": "srsg", "params": {
+        "m": 2, "n": 3, "k": 2, "cost": ["1", "2", "3"], **params}})
+    return {**doc, "players": 3, "action_counts": [4, 4, 4],
+            "profiles": {"p": [0, 0, 0]}}
+
+
+# Valid game documents, one of each utilities kind, built fresh per call.
+VALID_DOCUMENTS = {"table": _table, "srsg": _srsg_doc}
+
 # Game documents that must fail at load, each for the reason in its name.
 BAD_DOCUMENTS = {
     "short_payoffs": _two_by_one({"kind": "table", "entries": [
@@ -39,6 +64,19 @@ BAD_DOCUMENTS = {
     "header_disagrees": {**_two_by_one({"kind": "generator", "name": "srsg",
                                         "params": {"m": 2, "n": 3, "k": 2}}),
                          "profiles": {"p": [0, 0, 0]}},
+    "top_level_list": [],
+    "players_string": _table(players="2"),
+    "action_counts_string": _table(action_counts="22"),
+    "entries_not_a_list": _table(utilities={"kind": "table", "entries": 5}),
+    "profiles_not_a_mapping": _table(profiles=["a"]),
+    "players_missing": _table(players=None),
+    "entries_missing": _table(utilities={"kind": "table"}),
+    "payoffs_missing": _table(utilities={"kind": "table", "entries": [
+        {"profile": [0, 0], "payoffs": ["1/1", "0/1"]}, {"profile": [1, 0]}]}),
+    "payoff_not_rational": _table(utilities={"kind": "table", "entries": _entries(
+        ["1/1", "0/1"], ["abc", "1/1"])}),
+    "generator_n_string": _srsg_doc(n="x"),
+    "generator_n_float": _srsg_doc(n=3.9),  # once scored as n = 3
 }
 
 
@@ -172,9 +210,8 @@ def total_cost(inst: srsg.SrsgInstance, assignment: Sequence, agent: int):
     assignment = srsg.validate_assignment(inst, assignment)
     if not 0 <= agent < inst.n:
         raise InputError(f"agent {agent} out of range")
-    loads = srsg.step_loads(inst, assignment)
     values = inst.cost.values
-    return sum(values[loads[t][assignment[t][agent]] - 1] for t in range(inst.k))
+    return sum(values[row.count(row[agent]) - 1] for row in assignment)
 
 
 def profile_to_assignment(inst: srsg.SrsgInstance, profile: Sequence) -> tuple:

@@ -529,6 +529,17 @@ class TestShapes:
             if kind == "beta_concave":
                 assert info.concave_beta >= beta
 
+    @pytest.mark.parametrize("kind, beta, vector", [
+        ("convex", None, ("25/12", "19/12", "5/4", "1")),
+        ("concave", None, ("61/12", "29/6", "9/2", "4")),
+        ("beta_convex", 2, ("8", "4", "2", "1")),
+        ("beta_concave", 2, ("23", "22", "20", "16")),
+        ("beta_concave", Fraction(3, 2), ("157/16", "141/16", "117/16", "81/16")),
+    ])
+    def test_exact_length_four_vectors(self, kind, beta, vector):
+        assert auction.make_shape(auction.ShapeSpec(kind, 4, beta)) == tuple(
+            map(Fraction, vector))
+
     def test_make_instance_takes_its_lengths_from_the_specs(self):
         inst = auction.make_instance(3, auction.ShapeSpec("linear", 5),
                                      auction.ShapeSpec("linear", 3))

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -11,7 +12,23 @@ import pytest
 from coalstab import cli, games, srsg
 from coalstab.errors import InputError
 from coalstab.tables import ResultTable
-from conftest import BAD_DOCUMENTS, REPEAT
+from conftest import BAD_DOCUMENTS, REPEAT, ROTATE, SPLIT
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def bench_constant(name: str):
+    """A literal constant of perfbench/cli_readme.py, read without importing
+    the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "cli_readme.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                             for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+README_INVOCATIONS = bench_constant("README_INVOCATIONS")
 
 
 @pytest.fixture()
@@ -182,6 +199,19 @@ class TestAuctionCommand:
         code, _, err = run_cli(capsys, "auction", "--s", "3")
         assert code == 1 and "error" in json.loads(err.strip())
 
+    def test_shape_names(self, capsys):
+        names = ("linear", "convex", "concave", "beta-convex:2", "beta-concave:2",
+                 "beta_convex:2", "beta-linear", "Linear")
+        accepted = [name for name in names
+                    if run_cli(capsys, "auction", "--s", "3", "--v", name,
+                               "--count-pairs")[0] == 0]
+        assert accepted == list(names[:5])
+        code, _, err = run_cli(capsys, "auction", "--s", "3", "--v", "beta_convex:2",
+                               "--count-pairs")
+        assert code == 1
+        assert json.loads(err.strip()) == {"error": "InputError",
+                                           "detail": "unknown shape 'beta_convex'"}
+
     @pytest.mark.parametrize("action", [("--count-pairs",), ("--table1",)])
     def test_zero_bidders_is_not_the_default(self, capsys, action):
         # --n 0 is an input to reject, not a request for the default 2s
@@ -293,8 +323,10 @@ class TestSweepCommand:
         assert ResultTable.from_csv(out).rows == []
 
     def test_range_validation(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "auction", "--s", "abc")
-        assert code == 1
+        for bad in ("abc", "10:20:0"):
+            code, out, err = run_cli(capsys, "sweep", "auction", "--s", bad)
+            assert (code, out) == (1, "")
+            assert json.loads(err.strip())["error"] == "InputError"
 
     def test_expression_parser(self):
         assert cli.eval_expr("4m", 3) == 12
@@ -350,6 +382,43 @@ class TestDeterminism:
         assert code == 0  # reserve output is JSON; decimals apply to CSV tables
 
 
+class TestReadmeOutputs:
+    """Every README `coalstab` line, run in-process, against the stdout
+    digest and exit code that perfbench/pins.json pins for it (pins.json is
+    only read here)."""
+
+    PINS = json.loads((ROOT / "perfbench" / "pins.json").read_text())
+
+    @pytest.fixture()
+    def readme_dir(self, tmp_path, monkeypatch, small_instance):
+        """The benchmark's example.json in the working directory, and the
+        default budget."""
+        games.save_game(tmp_path / "example.json", srsg.game_document(
+            small_instance, {"repeat": REPEAT, "split": SPLIT, "rotate": ROTATE}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("COALSTAB_BUDGET", raising=False)
+
+    def test_readme_lines_are_the_pinned_invocations(self):
+        lines = [line.partition("#")[0].split(None, 1)[1].strip()
+                 for line in (ROOT / "README.md").read_text().splitlines()
+                 if line.startswith("coalstab ")]
+        assert lines == [args for _, args in README_INVOCATIONS]
+
+    @pytest.mark.parametrize("name, args", README_INVOCATIONS,
+                             ids=[name for name, _ in README_INVOCATIONS])
+    def test_output_matches_the_pin(self, capsys, readme_dir, name, args):
+        code, out, _ = run_cli(capsys, *args.split())
+        pin = self.PINS["cli"][name]
+        assert code == pin["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == pin["sha256"]
+
+    def test_budget_cut_keeps_the_pinned_rows(self, capsys, readme_dir):
+        _, args = bench_constant("BUDGET_CUT")
+        code, out, _ = run_cli(capsys, *args.split())
+        assert code == 3
+        assert out.splitlines()[2:] == self.PINS["cli_budget_cut_rows"]
+
+
 class TestImportFootprint:
     """A `coalstab` process imports only the layer its subcommand runs, and
     the library never loads `dataclasses` or `inspect`.  Each case runs in a
@@ -359,7 +428,7 @@ class TestImportFootprint:
     def loaded_by(code: str) -> set:
         script = (f"import json, os, sys\nbefore = set(sys.modules)\n{code}\n"
                   "print(json.dumps(sorted(set(sys.modules) - before)))")
-        src = Path(__file__).resolve().parents[1] / "src"
+        src = ROOT / "src"
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, timeout=60, check=True,
                               env={**os.environ, "PYTHONPATH": str(src)})
@@ -391,7 +460,7 @@ class TestBenchmarkSurface:
     def test_every_library_name_perfbench_uses_resolves(self):
         layers = ("auction", "games", "reserve", "srsg", "tables")
         used = set()
-        for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        for path in sorted((ROOT / "perfbench").glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 chain, root = [], node
                 while isinstance(root, ast.Attribute):

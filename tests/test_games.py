@@ -2,6 +2,8 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from coalstab import auction, games, srsg
 from coalstab.errors import BudgetExceededError, InputError
-from conftest import BAD_DOCUMENTS, REPEAT, ROTATE, SPLIT, is_nash_profile
+from conftest import (BAD_DOCUMENTS, REPEAT, ROTATE, SPLIT, VALID_DOCUMENTS,
+                      is_nash_profile)
 
 
 def coordination_game():
@@ -21,6 +24,35 @@ def coordination_game():
         (1, 0): (5, 0),
     }
     return games.FiniteGame(2, (2, 2), lambda i, p: payoffs[p][i])
+
+
+JSON_SCALARS = {type(None): st.none(), bool: st.booleans(), int: st.integers(),
+                float: st.floats(allow_nan=False, allow_infinity=False),
+                str: st.text(max_size=4)}
+JSON_VALUES = st.recursive(
+    st.one_of(*JSON_SCALARS.values()),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+JSON_TYPES = {**JSON_SCALARS, list: st.lists(JSON_VALUES, max_size=3),
+              dict: st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3)}
+
+
+def json_paths(value, path=()):
+    """The path of every value inside a JSON value, its own (()) first."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    else:
+        children = enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+# Every value of each valid document, the document itself included, as a
+# path into a one-item list that holds the document.
+DOCUMENT_EDITS = [(name, path) for name, make in VALID_DOCUMENTS.items()
+                  for path in json_paths([make()]) if path]
 
 
 def random_game(rng, n=3, actions=3):
@@ -356,6 +388,29 @@ class TestGameDocuments:
         assert profiles == named
         for p, payoffs in table.items():
             assert tuple(rebuilt.utility(i, p) for i in range(n)) == payoffs
+
+    @pytest.mark.parametrize("name, path", DOCUMENT_EDITS, ids=[
+        f"{name}:{'/'.join(map(str, path[1:])) or 'document'}"
+        for name, path in DOCUMENT_EDITS])
+    @settings(max_examples=5)
+    @given(data=st.data())
+    def test_one_edit_loads_or_is_bad_input(self, name, path, data):
+        # the value at `path` deleted (when it has a key) or replaced by a
+        # value of each other JSON type: every edit loads or is an InputError
+        *trail, key = path
+        for edit in ("delete", *JSON_TYPES):
+            box = [VALID_DOCUMENTS[name]()]
+            parent = reduce(getitem, trail, box)
+            if edit == "delete" and isinstance(parent, dict):
+                del parent[key]
+            elif edit not in ("delete", type(parent[key])):
+                parent[key] = data.draw(JSON_TYPES[edit], label=edit.__name__)
+            else:
+                continue
+            try:
+                games.game_from_document(box[0], srsg.GENERATOR_RESOLVERS)
+            except InputError:
+                pass
 
     def test_rational_strings_round_trip(self):
         assert games.rational_from_str("3/4") == Fraction(3, 4)
