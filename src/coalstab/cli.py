@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__, games
 from .errors import BudgetExceededError, InputError
@@ -33,7 +32,7 @@ def parse_shape(text: str, length: int) -> tuple:
     from . import auction
     text = text.strip()
     if "," in text:
-        values = tuple(Fraction(part) for part in text.split(","))
+        values = tuple(map(games.rational_from_str, text.split(",")))
         if len(values) != length:
             raise InputError(f"expected {length} values, got {len(values)}")
         return values
@@ -45,11 +44,11 @@ def parse_shape(text: str, length: int) -> tuple:
     if kind.startswith("beta_"):
         if not arg:
             raise InputError(f"{name} needs a beta argument, e.g. {name}:2")
-        beta = Fraction(arg)
+        beta = games.rational_from_str(arg)
     elif arg:
         hi, sep, lo = arg.partition("..")
-        high = Fraction(hi)
-        low = Fraction(lo) if sep else None
+        high = games.rational_from_str(hi)
+        low = games.rational_from_str(lo) if sep else None
     return auction.make_shape(auction.ShapeSpec(kind, length, beta, high, low))
 
 
@@ -132,7 +131,7 @@ def _parse_cost(text: str, n: int) -> "srsg.CostFn":
     from . import srsg
     if text == "linear":
         return srsg.CostFn.linear(n)
-    return srsg.CostFn(tuple(games.rational_from_str(p) for p in text.split(",")))
+    return srsg.CostFn(tuple(map(games.rational_from_str, text.split(","))))
 
 
 def cmd_srsg(args) -> int:
@@ -233,14 +232,15 @@ def cmd_reserve(args) -> int:
     report = {"provenance": _provenance(args, "reserve"), "mode": args.mode}
     cut = None
     if args.mode == "fixed":
-        out_f = reserve.reserve_vcg(inst, args.c, reserve.FILTERED)
-        out_c = reserve.reserve_vcg(inst, args.c, reserve.CLAMPED)
-        report["reserve"] = games.rational_to_str(Fraction(args.c))
+        c = games.rational_from_str(args.c)
+        out_f = reserve.reserve_vcg(inst, c, reserve.FILTERED)
+        out_c = reserve.reserve_vcg(inst, c, reserve.CLAMPED)
+        report["reserve"] = games.rational_to_str(c)
         report["payments"] = [games.rational_to_str(p) for p in out_f.payments]
         report["allocation"] = list(out_f.allocation)
         report["modes_agree"] = out_f == out_c
     elif args.mode == "star-lambda":
-        lam = Fraction(args.lam)
+        lam = games.rational_from_str(args.lam)
         ext = reserve.vcg_star_lambda(inst, lam)
         report["extended_ctrs"] = [games.rational_to_str(x)
                                    for x in ext.extended_ctrs]
@@ -248,8 +248,8 @@ def cmd_reserve(args) -> int:
         report["gap_bound"] = games.rational_to_str(
             reserve.lambda_payment_gap_bound(inst, lam))
     else:
-        cfg = reserve.VcgStarConfig(Fraction(args.q_reserve),
-                                    Fraction(args.vmax) if args.vmax else None)
+        vmax = games.rational_from_str(args.vmax) if args.vmax else None
+        cfg = reserve.VcgStarConfig(games.rational_from_str(args.q_reserve), vmax)
         expected = reserve.expected_utilities_vcg_star(inst, cfg)
         report["expected_utilities"] = [games.rational_to_str(u)
                                         for u in expected]

@@ -361,10 +361,14 @@ def rational_to_str(value: Rational) -> str:
 
 
 def rational_from_str(text: str) -> Rational:
-    f = Fraction(str(text))
-    if f.denominator == 1:
-        return f.numerator
-    return f
+    """The one parser of rational text ("3", "-1/2", "0.25"): an int when
+    whole, else a Fraction; any other text, "1/0" included, is an
+    InputError that names it."""
+    try:
+        f = Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"not a rational: {text!r}") from None
+    return f.numerator if f.denominator == 1 else f
 
 
 def game_to_document(game: FiniteGame, profiles: Optional[dict] = None) -> dict:
@@ -422,10 +426,7 @@ def game_from_document(doc: dict, generator_resolvers: Optional[dict] = None):
                     and isinstance(entry.get("payoffs"), list)):
                 raise InputError(f"table entry {entry!r} needs a profile "
                                  "list and a payoffs list")
-            try:
-                payoffs = tuple(map(rational_from_str, entry["payoffs"]))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"table entry {entry['profile']}: {exc}") from None
+            payoffs = tuple(map(rational_from_str, entry["payoffs"]))
             if len(payoffs) != game.n:
                 raise InputError(f"table entry {entry['profile']} has "
                                  f"{len(payoffs)} payoffs, expected {game.n}")

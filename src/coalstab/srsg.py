@@ -9,6 +9,7 @@ that structural rule makes pair counting cheap, while the generic exhaustive
 search over the induced finite game stays available as an independent check.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -387,27 +388,11 @@ def sample_pair_deviation_counts(inst: SrsgInstance, samples: int, seed: int,
 # Induced finite game
 # ---------------------------------------------------------------------------
 
-def _decode_table(inst: SrsgInstance) -> list:
-    """Action index -> per-step resource tuple (mixed-radix, step 0 lowest)."""
-    table = []
-    for action in range(inst.m ** inst.k):
-        a, row = action, []
-        for _ in range(inst.k):
-            row.append(a % inst.m)
-            a //= inst.m
-        table.append(tuple(row))
-    return table
-
-
 def assignment_to_profile(inst: SrsgInstance, assignment: Sequence) -> tuple:
-    assignment = validate_assignment(inst, assignment)
-    profile = []
-    for agent in range(inst.n):
-        action = 0
-        for t in reversed(range(inst.k)):
-            action = action * inst.m + assignment[t][agent]
-        profile.append(action)
-    return tuple(profile)
+    """Each agent's action: its resource in step t is the base-m digit t."""
+    rows = validate_assignment(inst, assignment)
+    return tuple(sum(row[agent] * inst.m ** t for t, row in enumerate(rows))
+                 for agent in range(inst.n))
 
 
 def _step_costs(costs: Sequence, loads: tuple, r: int) -> list:
@@ -454,70 +439,85 @@ def _pareto_max(vectors) -> list:
 def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     """The SRSG as a FiniteGame (utilities are negated total costs).
 
-    Loads are packed ints: action a is one int with a 1 in field t*m + r_t
-    for each step t, where a picks resource r_t, each field `n.bit_length()`
-    bits wide.  A profile's sum holds every step's loads, and a load is at
-    most n, so no field carries into the next.  `utility` reads the agent's
-    k fields of that sum with a shift and a mask each.
+    Action a picks resource r_t = a // m**t % m in step t.  Loads are packed
+    ints: the action is one int with a 1 in field t*m + r_t for each step t,
+    each field `n.bit_length()` bits wide, so a profile's sum holds every
+    step's loads and no field carries (a load is at most n).  `utility`
+    reads the agent's k fields of that sum.  An action's packed int and
+    field offsets are built the first time a call meets it, never as a
+    table of all m^k; an action outside range(m^k) is an InputError there.
 
     Ships an exact `deviation_test` hook, in agreement with the generic scan
-    on every input.  A member's cost is a sum over steps, and a step's loads
-    depend only on that step's choices, so the hook folds the steps one at a
-    time over the members' slacks (baseline cost minus cost so far, in the
-    cost table scaled to ints).  Each step subtracts every achievable vector
-    of step costs (`_step_costs`, memoised on the sorted outsider loads and
-    the coalition size) and keeps only the entrywise-maximal slacks that can
-    still end in a deviation: costs are nonnegative, so a slack below 0
-    (weak) or at most 0 (strict) never recovers.  The coalition deviates
-    when a slack vector survives the last step, with some entry above 0 for
-    a weak deviation.  The memo and the profile's loads, unpacked into
-    per-step lists, are kept for one profile at a time and dropped when a
-    call brings another.
+    on every input.  Costs add over steps and a step's loads depend only on
+    its own choices, so the hook folds the steps one at a time over the
+    members' slacks (baseline cost minus cost so far, costs scaled to ints),
+    with the outsiders' loads the profile's sum less the members' ints.
+    Each step subtracts every achievable vector of step costs and keeps the
+    entrywise-maximal slacks that can still end in a deviation: costs are
+    nonnegative, so a slack below 0 (weak) or at most 0 (strict) never
+    recovers.  The coalition deviates when a slack vector survives the last
+    step, with some entry above 0 for a weak deviation.  `_step_costs` is
+    cached for the game's lifetime on a step's packed outsider fields and
+    on their sorted loads; a call adds at most k entries to each cache.
     """
-    decode = _decode_table(inst)
     values = inst.cost.values
     m, n, k = inst.m, inst.n, inst.k
     action_count = m ** k
     costs = games.scaled(values)
     width = n.bit_length()
     mask = (1 << width) - 1
-    shifts = [[width * (t * m + r) for t, r in enumerate(row)] for row in decode]
-    packed = [sum(1 << s for s in row) for row in shifts]
+    packed, shifts = {}, {}  # action -> its packed int, its k field offsets
+
+    def loads_of(profile):
+        """The packed loads of `profile`, encoding each action the sum misses."""
+        while True:
+            try:
+                return sum(map(packed.__getitem__, profile))
+            except KeyError as missing:
+                a = missing.args[0]
+            if not (type(a) is int and 0 <= a < action_count):
+                raise InputError(f"action {a!r} outside range({action_count})")
+            shifts[a] = [width * (t * m + a // m ** t % m) for t in range(k)]
+            packed[a] = sum(1 << s for s in shifts[a])
 
     def utility(agent: int, profile):
-        loads = sum(map(packed.__getitem__, profile))
+        try:
+            loads = sum(map(packed.__getitem__, profile))
+        except KeyError:
+            loads = loads_of(profile)
         cost = 0
         for s in shifts[profile[agent]]:
             cost += values[(loads >> s & mask) - 1]
         return -cost
 
-    memo = {}  # (sorted outsider loads, coalition size) -> step-cost vectors
-    current = {}  # the profile the memo belongs to, its loads and costs
+    row = width * m  # the bits of one step's m fields
+    by_loads = functools.cache(functools.partial(_step_costs, costs))
+
+    @functools.cache
+    def step_costs(fields: int, r: int) -> list:
+        """`_step_costs` for the outsider loads packed in one step's `fields`."""
+        loads = sorted([fields >> s & mask for s in range(0, row, width)])
+        return by_loads(tuple(loads), r)
 
     def deviation_test(members, profile, kind):
-        if current.get("profile") != profile:
-            memo.clear()
-            total = sum(map(packed.__getitem__, profile))
-            loads = [[total >> width * (t * m + r) & mask for r in range(m)]
-                     for t in range(k)]
-            current.update(profile=profile, loads=loads, base=[
-                sum(costs[loads[t][r] - 1] for t, r in enumerate(decode[a]))
-                for a in profile])
-        loads, base = current["loads"], current["base"]
+        loads = loads_of(profile)
+        own = [profile[i] for i in members]
+        outside = loads - sum(map(packed.__getitem__, own))
         r = len(members)
         floor = 1 if kind == games.STRICT else 0
-        slacks = [tuple(base[i] for i in members)]
+        base = []
+        for a in own:
+            cost = 0
+            for s in shifts[a]:
+                cost += costs[(loads >> s & mask) - 1]
+            base.append(cost)
+        slacks = [tuple(base)]
         for t in range(k):
-            outside = list(loads[t])
-            for i in members:
-                outside[decode[profile[i]][t]] -= 1
-            key = (tuple(sorted(outside)), r)
-            if key not in memo:
-                memo[key] = _step_costs(costs, key[0], r)
+            vectors = step_costs(outside >> row * t & (1 << row) - 1, r)
             # tuple() of a list, not of a generator, reuses freed tuples of
             # its size; of a generator it allocates anew and memory grows
             sums = (tuple([a + b for a, b in zip(s, v)])
-                    for s in slacks for v in memo[key])
+                    for s in slacks for v in vectors)
             slacks = _pareto_max([d for d in sums if min(d) >= floor])
             if not slacks:
                 return False
@@ -569,10 +569,7 @@ def resolve_generator(params: dict) -> games.FiniteGame:
     if cost == "linear":
         cost = CostFn.linear(n)
     elif isinstance(cost, list):
-        try:
-            cost = CostFn(tuple(map(games.rational_from_str, cost)))
-        except (ValueError, ZeroDivisionError) as exc:  # CostFn's InputError too
-            raise InputError(f"srsg cost: {exc}") from None
+        cost = CostFn(tuple(map(games.rational_from_str, cost)))
     else:
         raise InputError("srsg cost must be 'linear' or a list of rationals")
     return induced_game(SrsgInstance(m, n, k, cost))

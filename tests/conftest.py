@@ -75,6 +75,9 @@ BAD_DOCUMENTS = {
         {"profile": [0, 0], "payoffs": ["1/1", "0/1"]}, {"profile": [1, 0]}]}),
     "payoff_not_rational": _table(utilities={"kind": "table", "entries": _entries(
         ["1/1", "0/1"], ["abc", "1/1"])}),
+    "payoff_zero_denominator": _table(utilities={"kind": "table", "entries": _entries(
+        ["1/1", "0/1"], ["1/0", "1/1"])}),
+    "generator_cost_zero_denominator": _srsg_doc(cost=["1", "1/0", "3"]),
     "generator_n_string": _srsg_doc(n="x"),
     "generator_n_float": _srsg_doc(n=3.9),  # once scored as n = 3
 }
@@ -215,11 +218,12 @@ def total_cost(inst: srsg.SrsgInstance, assignment: Sequence, agent: int):
 
 
 def profile_to_assignment(inst: srsg.SrsgInstance, profile: Sequence) -> tuple:
-    decode = srsg._decode_table(inst)
+    """Decode each action by repeated division: step t is its t-th base-m
+    digit, step 0 lowest."""
     rows = [[0] * inst.n for _ in range(inst.k)]
     for agent, action in enumerate(profile):
-        for t, r in enumerate(decode[action]):
-            rows[t][agent] = r
+        for row in rows:
+            action, row[agent] = divmod(action, inst.m)
     return tuple(tuple(row) for row in rows)
 
 

@@ -88,6 +88,19 @@ class TestScoreCommand:
         assert (code, out) == (1, "")
         assert json.loads(err.strip())["error"] == "InputError"
 
+    def test_generator_document_with_16_million_actions(self, capsys, tmp_path):
+        # srsg(4,6,12): loading encodes no action up front, r = 1 is scored
+        # by the hook, and r = 2's (4^12)^2 joint actions pass the budget
+        inst = srsg.SrsgInstance(4, 6, 12, srsg.CostFn.linear(6))
+        path = tmp_path / "big.json"
+        games.save_game(path, srsg.game_document(
+            inst, {"repeat": srsg.build_repeat_ne(inst)}))
+        code, out, err = run_cli(capsys, "score", "--game", str(path), "--profile",
+                                 "repeat", "--kind", "weak", "--rmax", "2")
+        assert code == 3
+        assert out.splitlines()[2:] == ["repeat,weak,1,0"]
+        assert json.loads(err.strip())["error"] == "budget exceeded"
+
     def test_budget_cut_keeps_finished_sizes(self, capsys, example_game):
         code, out, _ = run_cli(capsys, "score", "--game", example_game,
                                "--profile", "repeat", "--kind", "strict",
@@ -335,6 +348,31 @@ class TestSweepCommand:
         assert cli.eval_expr("7", 2) == 7
         with pytest.raises(InputError):
             cli.eval_expr("m*m", 2)
+
+
+# One malformed or zero-denominator rational for each flag that takes one.
+BAD_RATIONALS = {
+    "srsg-cost-1/0": ["srsg", "--m", "3", "--n", "5", "--k", "2",
+                      "--cost", "1/0,1,1,1,1"],
+    "srsg-cost-abc": ["srsg", "--m", "3", "--n", "5", "--k", "2", "--cost", "abc"],
+    "auction-v-list": ["auction", "--s", "2", "--v", "3,1/0,1,1", "--count-pairs"],
+    "auction-v-linear": ["auction", "--s", "2", "--v", "linear:1/0", "--count-pairs"],
+    "auction-v-beta": ["auction", "--s", "2", "--v", "beta-convex:1/0",
+                       "--count-pairs"],
+    "reserve-c-1/0": ["reserve", "--s", "2", "--mode", "fixed", "--c", "1/0"],
+    "reserve-c-abc": ["reserve", "--s", "2", "--mode", "fixed", "--c", "abc"],
+    "reserve-q-reserve": ["reserve", "--s", "2", "--q-reserve", "1/0"],
+    "reserve-vmax": ["reserve", "--s", "2", "--vmax", "1/0"],
+    "reserve-lambda": ["reserve", "--s", "2", "--mode", "star-lambda",
+                       "--lambda", "1/0"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_RATIONALS.values(), ids=BAD_RATIONALS.keys())
+def test_bad_rational_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert [json.loads(line)["error"] for line in err.splitlines()] == ["InputError"]
 
 
 class TestDeterminism:

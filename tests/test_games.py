@@ -416,3 +416,6 @@ class TestGameDocuments:
         assert games.rational_from_str("3/4") == Fraction(3, 4)
         assert games.rational_from_str("5/1") == 5
         assert games.rational_to_str(Fraction(-7, 2)) == "-7/2"
+        for bad in ("1/0", "abc", "", None):
+            with pytest.raises(InputError, match="not a rational"):
+                games.rational_from_str(bad)

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -360,6 +361,16 @@ class TestEncoding:
             profile = srsg.assignment_to_profile(small_instance, assignment)
             assert profile_to_assignment(small_instance, profile) == assignment
 
+    @settings(max_examples=100)
+    @given(m=st.integers(2, 5), n=st.integers(2, 9), k=st.integers(2, 4),
+           data=st.data())
+    def test_random_assignment_round_trip(self, m, n, k, data):
+        inst = srsg.SrsgInstance(m, n, k, srsg.CostFn.linear(n))
+        row = st.lists(st.integers(0, m - 1), min_size=n, max_size=n).map(tuple)
+        assignment = tuple(data.draw(st.lists(row, min_size=k, max_size=k)))
+        profile = srsg.assignment_to_profile(inst, assignment)
+        assert profile_to_assignment(inst, profile) == assignment
+
     def test_utility_is_negated_total_cost(self, small_instance, small_game):
         profile = srsg.assignment_to_profile(small_instance, REPEAT)
         for agent in range(6):
@@ -429,16 +440,33 @@ def srsg_cases(draw):
     return inst, profiles, draw(st.lists(coalition, min_size=1, max_size=3))
 
 
+def crowded(n, k):
+    """srsg(2, n, k) with every agent on the last resource in every step,
+    then on the first, so a load of n sits in the top field, then in the
+    lowest: n = 7 sets all 3 bits of its field, and n = 8 is the first load
+    that needs a 4-bit field."""
+    inst = srsg.SrsgInstance(2, n, k, srsg.CostFn.linear(n))
+    return inst, [(2 ** k - 1,) * n, (0,) * n], [(0,), (1, 2), (0, 3, 6)]
+
+
 class TestDeviationTest:
     """The srsg decision hook against the generic scan of the same utility."""
 
     @settings(max_examples=150)
     @given(case=srsg_cases(), kind=st.sampled_from((games.STRICT, games.WEAK)))
+    @example(case=crowded(7, 2), kind=games.STRICT)
+    @example(case=crowded(7, 2), kind=games.WEAK)
+    @example(case=crowded(7, 3), kind=games.STRICT)
+    @example(case=crowded(7, 3), kind=games.WEAK)
+    @example(case=crowded(8, 2), kind=games.STRICT)
+    @example(case=crowded(8, 2), kind=games.WEAK)
+    @example(case=crowded(8, 3), kind=games.STRICT)
+    @example(case=crowded(8, 3), kind=games.WEAK)
     def test_hook_agrees_with_generic_scan(self, case, kind):
         inst, profiles, coalitions = case
         game = srsg.induced_game(inst)
         generic = games.FiniteGame(game.player_count, game.action_counts, game.utility)
-        # alternate the two profiles so each call finds the other's memo
+        # alternate the two profiles, which share the game's step-cost caches
         for members in coalitions:
             for profile in profiles:
                 witness = games.find_deviation(generic, profile, members, kind)
@@ -462,6 +490,37 @@ class TestDeviationTest:
         assert games.find_deviation(hooked, profile, (0, 1)) == \
             games._generic_search(game, (0, 1), profile, games.STRICT)
         assert calls
+
+
+class TestOnDemandEncoding:
+    """srsg(4,6,12) has 4^12 = 16.7 M actions per agent; the game encodes
+    only the actions that calls bring."""
+
+    BIG = srsg.SrsgInstance(4, 6, 12, srsg.CostFn.linear(6))
+
+    def test_loading_builds_nothing_per_action(self):
+        doc = srsg.game_document(self.BIG, {"repeat": srsg.build_repeat_ne(self.BIG)})
+        tracemalloc.start()
+        try:
+            game, profiles = games.game_from_document(doc, srsg.GENERATOR_RESOLVERS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # one entry per action would take gigabytes
+        profile = profiles["repeat"]
+        assignment = profile_to_assignment(self.BIG, profile)
+        for agent in range(6):
+            assert game.utility(agent, profile) == -total_cost(self.BIG, assignment, agent)
+        assert games.score_vector(game, profile, games.WEAK, r_max=1).counts == (0,)
+
+    @pytest.mark.parametrize("action", [4 ** 12, -1])
+    def test_action_outside_the_range_is_refused(self, action):
+        game = srsg.induced_game(self.BIG)
+        profile = (action,) + (0,) * 5
+        with pytest.raises(InputError, match="outside range"):
+            game.utility(1, profile)
+        with pytest.raises(InputError, match="outside range"):
+            game.deviation_test((1,), profile, games.WEAK)
 
 
 class TestGenericScanWork:
