@@ -10,7 +10,6 @@ so a process loads no other layer.
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -21,8 +20,7 @@ from .tables import ResultTable
 _WORKERS_ENV = "COALSTAB_WORKERS"
 
 def _workers() -> int:
-    raw = os.environ.get(_WORKERS_ENV)
-    return max(1, int(raw)) if raw else 1
+    return max(1, games.env_int(_WORKERS_ENV, 1))
 
 
 def parse_shape(text: str, length: int) -> tuple:

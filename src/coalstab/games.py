@@ -35,12 +35,24 @@ DEFAULT_SEARCH_BUDGET = 10**8
 _BUDGET_ENV = "COALSTAB_BUDGET"
 
 
+def env_int(name: str, default: int) -> int:
+    """The integer in environment variable `name`, or `default` when it is
+    unset or empty; any other text is an InputError that names it."""
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def search_budget(budget: Optional[int] = None) -> int:
     """Resolve the effective search budget (argument > env > default); a
-    negative budget is an InputError."""
+    negative budget, or an environment value that is no integer, is an
+    InputError."""
     if budget is None:
-        raw = os.environ.get(_BUDGET_ENV)
-        budget = int(raw) if raw else DEFAULT_SEARCH_BUDGET
+        budget = env_int(_BUDGET_ENV, DEFAULT_SEARCH_BUDGET)
     if budget < 0:
         raise InputError(f"search budget must be nonnegative, got {budget}")
     return budget
@@ -172,12 +184,14 @@ def first_deviation(profiles: Iterable, members: Sequence, base: Sequence,
     no member's `utility(i, profile)` falls below its entry of `base` and
     every member gains (strict) or at least one does (weak); None when no
     candidate qualifies.  A candidate is dropped at its first failing member,
-    so later members' utilities are never computed for it.  `kind` is STRICT
+    so later members' utilities are never computed for it.  Members and
+    their base utilities are paired once, before the scan.  `kind` is STRICT
     or WEAK; callers validate it before they start any work."""
     strict = kind == STRICT
+    pairs = tuple(zip(members, base))
     for profile in profiles:
         improved = False
-        for i, old in zip(members, base):
+        for i, old in pairs:
             new = utility(i, profile)
             if new > old:
                 improved = True
@@ -191,7 +205,8 @@ def first_deviation(profiles: Iterable, members: Sequence, base: Sequence,
 
 def rebids(profile: Sequence, positions: Sequence, joints: Iterable):
     """`profile` as a tuple with each joint action of `joints` written into
-    `positions`, one tuple per joint."""
+    `positions`, one tuple per joint (the auction grid search and the
+    reserve certification build their candidates with it)."""
     work = list(profile)
     for joint in joints:
         for pos, a in zip(positions, joint):
@@ -201,10 +216,15 @@ def rebids(profile: Sequence, positions: Sequence, joints: Iterable):
 
 def _generic_search(game: FiniteGame, members: Coalition, profile: Profile,
                     kind: str):
-    """Plain product scan driven by the utility oracle."""
+    """Plain product scan driven by the utility oracle: one product over
+    every position, each member's whole action range and each outsider's
+    fixed action, yields the complete candidate profiles in lexicographic
+    order of the members' joint actions (last member fastest)."""
     base = [game.utility(i, profile) for i in members]
-    joints = itertools.product(*(range(game.action_counts[i]) for i in members))
-    found = first_deviation(rebids(profile, members, joints), members, base,
+    axes = [(a,) for a in profile]
+    for i in members:
+        axes[i] = range(game.action_counts[i])
+    found = first_deviation(itertools.product(*axes), members, base,
                             game.utility, kind)
     return None if found is None else tuple(found[i] for i in members)
 
@@ -232,11 +252,13 @@ def find_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
     """Exhaustively search the coalition's joint actions for a deviation.
 
     Returns the lexicographically first improving joint action (a tuple
-    aligned with the coalition's members), or None when no deviation exists.
-    Raises BudgetExceededError when the joint action space is larger than the
-    effective budget; that outcome is deliberately distinct from None.
+    aligned with the coalition's members, the last member's action varying
+    fastest), or None when no deviation exists.  Raises BudgetExceededError
+    when the joint action space is larger than the effective budget; that
+    outcome is deliberately distinct from None.
 
-    The witness always comes from the generic product scan.  On a game with a
+    The witness always comes from the generic scan, one product over all
+    positions with the outsiders' actions held fixed.  On a game with a
     `deviation_test` hook (srsg) a "no" from the hook returns None at once,
     and a "yes" costs the scan up to the witness: at most one utility call per
     member for each joint action up to it in product order, at worst the

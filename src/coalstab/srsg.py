@@ -11,6 +11,7 @@ search over the induced finite game stays available as an independent check.
 
 import functools
 import itertools
+import os
 import random
 from fractions import Fraction
 from math import ceil, comb, exp
@@ -351,6 +352,14 @@ def _sample_counts_range(args) -> list:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sample_pair_deviation_counts(inst: SrsgInstance, samples: int, seed: int,
                                  workers: int = 1) -> list:
     """Strict pair-deviation counts over independent random equilibria.
@@ -364,7 +373,7 @@ def sample_pair_deviation_counts(inst: SrsgInstance, samples: int, seed: int,
     from the permuted pool and passes them straight to the mask counter
     that `count_pair_deviations` uses.  The seed must be nonnegative, as
     for `sample_random_ne`.  The pool starts no more processes than it has
-    jobs.
+    jobs, nor more than the process has usable CPUs (`_usable_cpus`).
     """
     if samples < 0:
         raise InputError("samples must be nonnegative")
@@ -372,6 +381,7 @@ def sample_pair_deviation_counts(inst: SrsgInstance, samples: int, seed: int,
         raise InputError("seed must be nonnegative")
     if not inst.cost.is_convex:
         raise ContractError("random equilibrium sampling requires convex costs")
+    workers = min(workers, _usable_cpus())
     if workers <= 1 or samples < 2:
         return _sample_counts_range((inst, seed, 0, samples))
     import multiprocessing

@@ -400,6 +400,20 @@ class TestDeterminism:
         cli.main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("name,argv", [
+        ("COALSTAB_BUDGET", ["srsg", "--m", "2", "--n", "3", "--k", "2",
+                             "--method", "bruteforce"]),
+        ("COALSTAB_WORKERS", ["srsg", "--m", "2", "--n", "3", "--k", "2",
+                              "--profile", "random", "--samples", "4"]),
+    ])
+    def test_non_integer_env_is_bad_input(self, monkeypatch, capsys, name, argv):
+        monkeypatch.setenv(name, "abc")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        record = json.loads(err.strip())
+        assert record["error"] == "InputError"
+        assert name in record["detail"]
+
     def test_budget_env_respected(self, monkeypatch, capsys, example_game):
         monkeypatch.setenv("COALSTAB_BUDGET", "10")
         code, out, _ = run_cli(capsys, "score", "--game", example_game,

@@ -124,6 +124,53 @@ class TestFindDeviation:
         with pytest.raises(BudgetExceededError):
             games.find_deviation(small_game, profile, (0, 1), budget=0)
 
+    def test_non_integer_budget_env_is_bad_input(self, monkeypatch):
+        for raw in ("abc", "2.5", "1e3"):
+            monkeypatch.setenv("COALSTAB_BUDGET", raw)
+            with pytest.raises(InputError, match="COALSTAB_BUDGET"):
+                games.search_budget()
+            assert games.search_budget(7) == 7  # the argument is read first
+        monkeypatch.setenv("COALSTAB_BUDGET", "")
+        assert games.search_budget() == games.DEFAULT_SEARCH_BUDGET
+        monkeypatch.setenv("COALSTAB_BUDGET", " 12 ")
+        assert games.search_budget() == 12
+
+    @settings(max_examples=300)
+    @given(data=st.data(), seed=st.integers(0, 2**32),
+           kind=st.sampled_from((games.STRICT, games.WEAK)))
+    def test_witness_matches_brute_force(self, data, seed, kind):
+        n = data.draw(st.integers(2, 5), label="players")
+        counts = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n,
+                                          max_size=n), label="action_counts"))
+        rng = random.Random(seed)
+        table = {p: tuple(rng.randrange(3) for _ in range(n))  # ties are common
+                 for p in itertools.product(*map(range, counts))}
+        game = games.FiniteGame(n, counts, lambda i, p: table[p][i])
+        profile = tuple(data.draw(st.integers(0, c - 1), label=f"action {i}")
+                        for i, c in enumerate(counts))
+        members = tuple(sorted(data.draw(
+            st.sets(st.integers(0, n - 1), min_size=1), label="coalition")))
+
+        expected = None
+        base = table[profile]
+        for joint in itertools.product(*(range(counts[i]) for i in members)):
+            moved = list(profile)
+            for i, a in zip(members, joint):
+                moved[i] = a
+            now = table[tuple(moved)]
+            gains = [now[i] - base[i] for i in members]
+            if kind == games.STRICT:
+                deviates = all(g > 0 for g in gains)
+            else:
+                deviates = all(g >= 0 for g in gains) and any(g > 0 for g in gains)
+            if deviates:
+                expected = joint
+                break
+
+        assert games.find_deviation(game, profile, members, kind) == expected
+        assert games.has_deviation(game, profile, members, kind) == \
+            (expected is not None)
+
     def test_bad_kind_rejected_before_any_work(self):
         def utility(i, profile):
             raise AssertionError("no utility call expected")

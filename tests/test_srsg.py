@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -303,7 +304,9 @@ class TestSampler:
         with pytest.raises(InputError):
             srsg.sample_random_ne(inst, -1)
 
-    def test_pool_starts_no_more_processes_than_jobs(self, small_instance, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The process count of each `multiprocessing.Pool` the test starts."""
         sizes = []
         pool = multiprocessing.Pool
 
@@ -312,9 +315,32 @@ class TestSampler:
             return pool(processes, *args, **kwargs)
 
         monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
-        counts = srsg.sample_pair_deviation_counts(small_instance, 3, 7, workers=8)
-        assert sizes == [3]
-        assert counts == srsg.sample_pair_deviation_counts(small_instance, 3, 7)
+        return sizes
+
+    def test_pool_starts_no_more_processes_than_jobs(self, small_instance,
+                                                     monkeypatch, pool_sizes):
+        # eight usable CPUs, so the two jobs, not the CPUs, bound the pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        counts = srsg.sample_pair_deviation_counts(small_instance, 2, 7, workers=8)
+        assert pool_sizes == [2]
+        assert counts == srsg.sample_pair_deviation_counts(small_instance, 2, 7)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pool_starts_no_more_processes_than_usable_cpus(
+            self, small_instance, monkeypatch, pool_sizes, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        counts = srsg.sample_pair_deviation_counts(small_instance, 6, 7, workers=5000)
+        assert pool_sizes == ([] if cpus == 1 else [cpus])  # one CPU: no pool
+        assert counts == srsg.sample_pair_deviation_counts(small_instance, 6, 7)
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert srsg._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert srsg._usable_cpus() == 1
 
 
 class TestExpectedCounts:
