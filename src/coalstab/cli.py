@@ -25,11 +25,12 @@ def _workers() -> int:
 
 def parse_shape(text: str, length: int) -> tuple:
     """Shape spec notation: 'linear', 'linear:10..1', 'beta-convex:2',
-    'concave', or an explicit comma list like '10,6,2'.  A shape's name is
-    its `auction.SHAPE_KINDS` kind with '-' for '_'."""
+    'concave', or an explicit comma list like '10,6,2' or '3' (any text
+    that does not start with a letter).  A shape's name is its
+    `auction.SHAPE_KINDS` kind with '-' for '_'."""
     from . import auction
     text = text.strip()
-    if "," in text:
+    if not text[:1].isalpha():
         values = tuple(map(games.rational_from_str, text.split(",")))
         if len(values) != length:
             raise InputError(f"expected {length} values, got {len(values)}")

@@ -131,11 +131,11 @@ class FiniteGame(Record):
         members = tuple(members)
         if not members:
             raise InputError("coalition must be nonempty")
-        if list(members) != sorted(set(members)):
-            raise InputError("coalition members must be strictly increasing")
-        for i in members:
+        for i in members:  # first: sorting a str or None among ints raises TypeError
             if not (type(i) is int and 0 <= i < self.player_count):  # nor a player
                 raise InputError(f"player index {i!r} out of range")
+        if list(members) != sorted(set(members)):
+            raise InputError("coalition members must be strictly increasing")
         return members
 
 

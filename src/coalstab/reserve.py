@@ -10,9 +10,9 @@ as many slots as bidders, truth-telling then resists every coalition's weak
 deviation; a small slot-randomisation parameter manufactures the missing
 slots when bidders outnumber them.
 
-Expected utilities are integrated exactly: for fixed reports the utility is
-piecewise affine in the reserve with breakpoints at the reports, so each
-piece contributes its length times its midpoint value.
+Expected utilities are exact and in closed form: for fixed reports the
+utility is affine in the reserve between consecutive reports, so its
+integral over the reserve's range has a two-term closed form.
 """
 
 import itertools
@@ -109,30 +109,15 @@ def reserve_vcg(inst: AuctionInstance, c, mode: str = FILTERED,
 # Randomised reserve: exact expected utilities and the coalition checker
 # ---------------------------------------------------------------------------
 
-def _reserve_breakpoints(reports, v_max: Fraction) -> list:
-    points = {Fraction(0), v_max}
-    for r in reports:
-        if 0 < r < v_max:
-            points.add(Fraction(r))
-    return sorted(points)
-
-
 def expected_utilities_vcg_star(inst: AuctionInstance, cfg: VcgStarConfig,
                                 reports: Optional[Sequence] = None) -> tuple:
-    """Exact expected utility of every bidder under the randomised reserve.
-
-    Utility is affine in the reserve between consecutive report values, so
-    the integral over [0, v_max] is a finite sum of midpoint evaluations
-    (`_expected_utility`, once per bidder on one ranking and one breakpoint
-    list).
-    """
+    """Exact expected utility of every bidder under the randomised reserve
+    (`_expected_utility`, once per bidder on one ranking)."""
     reports, ranked = _ranked_reports(inst, reports)
     v_max = cfg.resolved_v_max(inst)
     if any(r >= v_max for r in reports):
         raise InputError("every report must stay below v_max")
-    points = _reserve_breakpoints(reports, v_max)
-    return tuple(_expected_utility(inst, cfg.q_reserve, v_max, reports, ranked,
-                                   points, i)
+    return tuple(_expected_utility(inst, cfg.q_reserve, v_max, reports, ranked, i)
                  for i in range(inst.n))
 
 
@@ -141,9 +126,10 @@ def misreport_grid(inst: AuctionInstance, agent: int, refine: int,
     """Candidate misreports in (0, v_max) for one agent: evenly spaced
     interior points of every cell between consecutive true values (2^refine
     pieces per cell) plus two probes just beside the agent's own value.
-    Expected utility as a function of one report is piecewise affine with
-    breakpoints at the others' reports, so cell-interior points witness
-    every cell."""
+    Expected utility as a function of one report changes form only where
+    that report crosses another's, and inside such a cell it is a concave
+    quadratic when the reserve is random (affine when q = 0), so the grid
+    samples every cell rather than witnessing it exactly."""
     if not 0 <= agent < inst.n:
         raise InputError(f"agent {agent} out of range")
     if refine < 1:
@@ -160,42 +146,38 @@ def misreport_grid(inst: AuctionInstance, agent: int, refine: int,
 
 
 def _expected_utility(inst: AuctionInstance, q: Fraction, v_max: Fraction,
-                      reports, ranked, points, agent: int) -> Fraction:
+                      reports, ranked, agent: int) -> Fraction:
     """Expected utility of one agent under the randomised reserve: the
     library's one formula for it.
 
-    `ranked` is the report-descending bidder order, `points` the reserve
-    breakpoints.  At reserve c the agent survives iff its report is at
+    `ranked` is the report-descending bidder order; every report stays
+    below v_max.  At reserve c the agent survives iff its report b is at
     least c, and then pays the filtered route's price: c plus the plain
-    payment rule on the surviving reports shifted down by c.  The tests
-    check it against `reserve_vcg` evaluated at every piece's midpoint."""
+    payment rule on the surviving reports shifted down by c.  At rank t <= s
+    with value v, that utility is affine in c between reports, so with
+    a_j = x_{j-1} - x_j summed over ranks j = t+1..min(s+1, n) and reports
+    below 0 read as 0:
+        u(0)                        = v*x_t - sum a_j*b_j
+        integral of u on [0, v_max] = x_t*(v*b - b^2/2) - sum a_j*b_j^2/2
+        E                           = (1 - q)*u(0) + (q/v_max)*integral.
+    An agent ranked past s, or reporting below 0, gets 0.  The tests check
+    it against `reserve_vcg` integrated piece by piece."""
     own = reports[agent]
     rank = ranked.index(agent) + 1
-    if rank > inst.s:
+    if rank > inst.s or own < 0:
         return Fraction(0)
-    x_i = inst.ctr(rank)
-    true_value = inst.values[agent]
-
-    def utility_at(c: Fraction) -> Fraction:
-        if own < c:
-            return Fraction(0)
-        total = (true_value - c) * x_i
-        for j in range(rank + 1, inst.s + 2):
-            if j > inst.n:
-                break
-            below = reports[ranked[j - 1]]
-            if below < c:
-                break
-            total -= (inst.ctr(j - 1) - inst.ctr(j)) * (below - c)
-        return total
-
-    expected = (1 - q) * utility_at(Fraction(0))
-    if q == 0:
-        return expected
-    acc = Fraction(0)
-    for lo, hi in zip(points, points[1:]):
-        acc += (hi - lo) * utility_at((lo + hi) / 2)
-    return expected + q * acc / v_max
+    x_t = inst.ctr(rank)
+    value = inst.values[agent]
+    at_zero = value * x_t
+    area = x_t * (value * own - own * own / 2)
+    for j in range(rank + 1, min(inst.s + 1, inst.n) + 1):
+        below = reports[ranked[j - 1]]
+        if below <= 0:
+            break
+        gap = inst.ctr(j - 1) - inst.ctr(j)
+        at_zero -= gap * below
+        area -= gap * below * below / 2
+    return (1 - q) * at_zero + q * area / v_max
 
 
 class SseVerdict(Record):
@@ -251,7 +233,7 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
         for reports in rebids(values, members, joints):
             checked += 1
             ranked = sorted(range(inst.n), key=reports.__getitem__, reverse=True)
-            yield reports, ranked, _reserve_breakpoints(reports, v_max)
+            yield reports, ranked
 
     def expected(i, candidate):
         return _expected_utility(inst, cfg.q_reserve, v_max, *candidate, i)

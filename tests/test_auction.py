@@ -29,16 +29,24 @@ def decreasing_rationals(draw, size):
 
 def fraction_scan(inst, bids, members, kind, refine):
     """The grid search with one `Fraction` GSP outcome per candidate: the
-    oracle of `exhaustive_bid_search`'s integer scan."""
+    oracle of `exhaustive_bid_search`'s integer scan.  It writes each joint
+    rebid into a copy of the profile and keeps only profiles whose n bids
+    are pairwise distinct, without the library's `untied_joints` or
+    `games.rebids`."""
     bids = tuple(Fraction(b) for b in bids)
     indices = [rank - 1 for rank in members]
     base = auction.gsp_outcome(inst, bids).utilities
     grid = auction.bid_grid(inst, bids, refine)
-    joints = auction.untied_joints(itertools.product(grid, repeat=len(indices)),
-                                   bids, indices)
-    candidates = ((work, auction.gsp_outcome(inst, work).utilities)
-                  for work in games.rebids(bids, indices, joints))
-    found = games.first_deviation(candidates, indices, [base[i] for i in indices],
+
+    def candidates():
+        for joint in itertools.product(grid, repeat=len(indices)):
+            work = list(bids)
+            for i, b in zip(indices, joint):
+                work[i] = b
+            if len(set(work)) == inst.n:
+                yield tuple(work), auction.gsp_outcome(inst, work).utilities
+
+    found = games.first_deviation(candidates(), indices, [base[i] for i in indices],
                                   lambda i, candidate: candidate[1][i], kind)
     return None if found is None else found[0]
 

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from coalstab import cli, games, srsg
-from coalstab.errors import InputError
+from coalstab.errors import ContractWarning, InputError
 from coalstab.tables import ResultTable
 from conftest import BAD_DOCUMENTS, REPEAT, ROTATE, SPLIT
 
@@ -129,6 +130,32 @@ class TestSrsgCommand:
         assert len(table.rows) == 5
         assert table.provenance["seed"] == "11"
 
+    def test_random_profile_both_methods_agree(self, capsys):
+        argv = ("srsg", "--m", "3", "--n", "5", "--k", "2", "--profile", "random",
+                "--samples", "4", "--seed", "11", "--method")
+        code, out, _ = run_cli(capsys, *argv, "both")
+        assert code == 0
+        rows = ResultTable.from_csv(out).rows
+        code, out, _ = run_cli(capsys, *argv, "structural")
+        assert code == 0
+        structural = ResultTable.from_csv(out).rows
+        assert [row[2] for row in structural] == [0, 0, 1, 1]
+        assert rows[0::2] == structural
+        assert rows[1::2] == [row[:3] + ("bruteforce",) for row in structural]
+
+    def test_budget_cut_keeps_the_structural_row(self, capsys, monkeypatch):
+        # the structural count searches nothing; a pair's bruteforce scan
+        # covers (m^k)^2 = 256 joint actions
+        monkeypatch.setenv("COALSTAB_BUDGET", "255")
+        code, out, err = run_cli(capsys, "srsg", "--m", "4", "--n", "6", "--k", "2",
+                                 "--method", "both")
+        assert code == 3
+        assert json.loads(err.strip())["error"] == "budget exceeded"
+        table = ResultTable.from_csv(out)
+        assert table.rows == [("repeat", 2, 2, "structural")]
+        assert table.provenance["truncated"] == (
+            "budget exceeded: search space of 256 joint actions exceeds budget 255")
+
     @pytest.mark.parametrize("method", ["structural", "bruteforce", "both"])
     def test_negative_samples_rejected(self, capsys, method):
         code, out, err = run_cli(capsys, "srsg", "--m", "2", "--n", "3", "--k", "2",
@@ -174,6 +201,27 @@ class TestAuctionCommand:
                                "--v", "10,6,2", "--x", "2,1", "--count-pairs")
         assert code == 0
         assert ResultTable.from_csv(out).rows[0][3] == 2
+
+    def test_one_entry_vectors(self, capsys):
+        # '2' is a one-entry list, not a shape name: a single slot
+        code, out, _ = run_cli(capsys, "auction", "--s", "1", "--n", "3",
+                               "--v", "5,3,1", "--x", "2", "--count-pairs")
+        assert code == 0
+        assert ResultTable.from_csv(out).rows[0][2:5] == (2, 1, 1)
+
+    def test_shape_endpoints(self, capsys):
+        assert cli.parse_shape("linear:10..1", 4) == (10, 7, 4, 1)
+        # a non-linear shape takes only the high endpoint and is rescaled to it
+        assert cli.parse_shape("convex:10", 3) == \
+            (10, Fraction(80, 11), Fraction(60, 11))
+        for shape in ("linear:10..1", "convex:10"):
+            assert run_cli(capsys, "auction", "--s", "3", "--v", shape,
+                           "--count-pairs")[0] == 0
+        code, out, err = run_cli(capsys, "auction", "--s", "3", "--v", "concave:5..1",
+                                 "--count-pairs")
+        assert (code, out) == (1, "")
+        assert json.loads(err.strip()) == {
+            "error": "InputError", "detail": "only linear shapes take a low endpoint"}
 
     @pytest.mark.parametrize("eq", ["le", "ue"])
     @pytest.mark.parametrize("flag", [("--count-pairs",), ("--count-coalitions", "2")],
@@ -243,6 +291,14 @@ class TestReserveCommand:
         assert report["modes_agree"] is True
         assert report["payments"] == ["9/2", "3/1"]
 
+    def test_fixed_mode_single_slot(self, capsys):
+        code, out, _ = run_cli(capsys, "reserve", "--s", "1", "--n", "2",
+                               "--v", "5,3", "--x", "2", "--mode", "fixed", "--c", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["modes_agree"] is True
+        assert (report["allocation"], report["payments"]) == ([0], ["3/1"])
+
     def test_fixed_mode_rejects_check_sse(self, capsys):
         code, out, err = run_cli(capsys, "reserve", "--s", "3", "--n", "3",
                                  "--v", "6,4,2", "--x", "4,2,1",
@@ -258,6 +314,18 @@ class TestReserveCommand:
         report = json.loads(out)
         assert report["sse_verdict"] == "certified_no_deviation_on_grid"
         assert all("/" in u for u in report["expected_utilities"])
+
+    def test_star_mode_reports_the_deviation(self, capsys):
+        # a spare bidder: the slotless fourth bidder joins the top one
+        with pytest.warns(ContractWarning):
+            code, out, _ = run_cli(capsys, "reserve", "--s", "3", "--n", "4",
+                                   "--v", "8,6,4,2", "--x", "4,2,1",
+                                   "--check-sse", "--vmax", "16")
+        assert code == 0
+        report = json.loads(out)
+        assert report["sse_verdict"] == "deviation_found"
+        assert report["deviating_members"] == [0, 3]
+        assert report["deviating_reports"] == ["7/1", "6/1", "4/1", "1/1"]
 
     def test_star_lambda_mode(self, capsys):
         code, out, _ = run_cli(capsys, "reserve", "--s", "2", "--n", "4",

@@ -185,6 +185,9 @@ class TestFindDeviation:
         ((0,) * 6, (1, 0)),        # unsorted coalition
         ((0,) * 6, ()),            # empty coalition
         ((0,) * 6, (0, 9)),        # player out of range
+        ((0,) * 6, ("a", 1)),      # members that do not sort against ints
+        ((0,) * 6, (None, 1)),
+        ((0,) * 6, ((0,), 1)),
     ])
     def test_validation_errors(self, small_game, profile, coalition):
         with pytest.raises(InputError):

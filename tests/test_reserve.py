@@ -98,17 +98,12 @@ class TestExpectedUtilities:
         with pytest.raises(InputError):
             reserve.expected_utilities_vcg_star(square, cfg)
 
-    def test_report_carries_sorted_breakpoints(self, square):
-        cfg = reserve.VcgStarConfig(Fraction(1, 2), 12)
-        assert reserve._reserve_breakpoints(square.values, cfg.resolved_v_max(square)) \
-            == [0, 2, 4, 6, 12]
-
     def test_utility_is_affine_between_breakpoints(self):
         rng = random.Random(77)
         for _ in range(10):
             inst = random_auction(rng, 4, 4)
             cfg = reserve.VcgStarConfig(Fraction(1, 2))
-            points = reserve._reserve_breakpoints(inst.values, cfg.resolved_v_max(inst))
+            points = sorted({Fraction(0), cfg.resolved_v_max(inst), *inst.values})
             for lo, hi in zip(points, points[1:]):
                 quarter = lo + (hi - lo) / 4
                 mid = lo + (hi - lo) / 2
@@ -149,26 +144,31 @@ class TestTruthTellingSearch:
 
         rng = random.Random(5)
         shuffler = random.Random(6)
-        overtaken = 0
+        overtaken = negative = zero = 0
         for _ in range(100):
             s, n = rng.randrange(1, 6), rng.randrange(2, 7)
             inst = random_auction(rng, s, n)
             v_max = 4 * inst.values[0]
             q = Fraction(rng.randrange(0, 4), 3)
-            ordered = [Fraction(r, 2) for r in
-                       sorted(rng.sample(range(1, int(2 * v_max)), n), reverse=True)]
+            # a third of the draws lie below 0, under every reserve
+            drawn = rng.sample(range(-int(v_max), int(2 * v_max)), n)
+            if rng.randrange(3) == 0 and 0 not in drawn:
+                drawn[0] = 0
+            ordered = [Fraction(r, 2) for r in sorted(drawn, reverse=True)]
             shuffled = shuffler.sample(ordered, n)
             cfg = reserve.VcgStarConfig(q, v_max)
             for reports in (ordered, shuffled):
                 reference = midpoint_integral(inst, q, v_max, reports)
                 assert reserve.expected_utilities_vcg_star(inst, cfg, reports) == reference
                 ranked = sorted(range(n), key=reports.__getitem__, reverse=True)
-                points = reserve._reserve_breakpoints(reports, v_max)
                 for agent in range(n):
                     assert reserve._expected_utility(
-                        inst, q, v_max, reports, ranked, points, agent) == reference[agent]
+                        inst, q, v_max, reports, ranked, agent) == reference[agent]
             overtaken += shuffled != ordered
+            negative += ordered[-1] < 0
+            zero += 0 in ordered
         assert overtaken >= 50  # most shuffles let a bidder out-report a higher value
+        assert negative >= 50 and zero >= 20
 
     def test_budget_caps_the_searched_space(self, square, monkeypatch):
         cfg = reserve.VcgStarConfig(Fraction(1, 2))
