@@ -12,7 +12,12 @@ slots when bidders outnumber them.
 
 Expected utilities are exact and in closed form: for fixed reports the
 utility is affine in the reserve between consecutive reports, so its
-integral over the reserve's range has a two-term closed form.
+integral over the reserve's range has a two-term closed form.  That form,
+`_closed_form`, is written once and works on whatever numbers it is given:
+`Fraction`s for `expected_utilities_vcg_star`, and ints scaled once per call
+for the certification `check_truthful_sse`, which ranks and scores every
+candidate in int arithmetic and re-judges a witness through the `Fraction`
+route.
 """
 
 import itertools
@@ -23,12 +28,25 @@ from typing import Optional, Sequence
 
 from .auction import AuctionInstance, gap_points, untied_joints, welfare_prices
 from .errors import ContractWarning, InputError
-from .games import WEAK, check_budget, first_deviation, rebids
+from .games import WEAK, check_budget, first_deviation, rational_from_str, rebids
 from .records import Record
 
 FILTERED = "filtered"
 CLAMPED = "clamped"
 _MODES = (FILTERED, CLAMPED)
+
+
+def _rational(value, name: str) -> Fraction:
+    """`value` as a Fraction when it is an int, a Fraction or rational text
+    (`games.rational_from_str`); floats, bools and anything else are an
+    InputError, since a float would carry its binary rounding into q or
+    v_max."""
+    if isinstance(value, str):
+        value = rational_from_str(value)
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InputError(f"{name} must be an int, a Fraction or rational "
+                         f"text, got {value!r}")
+    return Fraction(value)
 
 
 class VcgStarConfig(Record):
@@ -41,11 +59,11 @@ class VcgStarConfig(Record):
     v_max: Optional[Fraction] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "q_reserve", Fraction(self.q_reserve))
+        object.__setattr__(self, "q_reserve", _rational(self.q_reserve, "q_reserve"))
         if not 0 <= self.q_reserve <= 1:
             raise InputError("q_reserve must lie in [0, 1]")
         if self.v_max is not None:
-            object.__setattr__(self, "v_max", Fraction(self.v_max))
+            object.__setattr__(self, "v_max", _rational(self.v_max, "v_max"))
             if self.v_max <= 0:
                 raise InputError("v_max must be positive")
 
@@ -111,14 +129,16 @@ def reserve_vcg(inst: AuctionInstance, c, mode: str = FILTERED,
 
 def expected_utilities_vcg_star(inst: AuctionInstance, cfg: VcgStarConfig,
                                 reports: Optional[Sequence] = None) -> tuple:
-    """Exact expected utility of every bidder under the randomised reserve
-    (`_expected_utility`, once per bidder on one ranking)."""
+    """Exact expected utility of every bidder under the randomised reserve:
+    `_closed_form` on `Fraction`s, once per bidder on one ranking, divided
+    once by 2*c*v_max for q_reserve = a/c."""
     reports, ranked = _ranked_reports(inst, reports)
     v_max = cfg.resolved_v_max(inst)
     if any(r >= v_max for r in reports):
         raise InputError("every report must stay below v_max")
-    return tuple(_expected_utility(inst, cfg.q_reserve, v_max, reports, ranked, i)
-                 for i in range(inst.n))
+    utility = _closed_form(cfg.q_reserve, v_max, inst.values, inst.ctrs)
+    scale = 2 * cfg.q_reserve.denominator * v_max
+    return tuple(utility(i, (reports, ranked)) / scale for i in range(inst.n))
 
 
 def misreport_grid(inst: AuctionInstance, agent: int, refine: int,
@@ -145,39 +165,66 @@ def misreport_grid(inst: AuctionInstance, agent: int, refine: int,
     return tuple(sorted(p for p in points if 0 < p < v_max))
 
 
-def _expected_utility(inst: AuctionInstance, q: Fraction, v_max: Fraction,
-                      reports, ranked, agent: int) -> Fraction:
-    """Expected utility of one agent under the randomised reserve: the
-    library's one formula for it.
+def misreport_grid_size(n: int, refine: int) -> int:
+    """len(misreport_grid(inst, agent, refine, v_max)) for every agent of an
+    n-bidder instance whose values all lie in (0, v_max): 2^refine - 1
+    interior points in each of the n + 1 cells between 0, the values and
+    v_max, plus the two probes.  A probe sits half the smallest cell's step
+    from the agent's value, so it falls strictly inside the first step of
+    its cell and never meets another point."""
+    if refine < 1:
+        raise InputError("refine must be at least 1")
+    return (n + 1) * (2 ** refine - 1) + 2
+
+
+def _closed_form(q: Fraction, v_max, values: Sequence, ctrs: Sequence):
+    """Expected utility under the randomised reserve, the library's one
+    formula for it, as `utility(agent, (reports, ranked))` = 2*c*v_max*E
+    for q = a/c.
 
     `ranked` is the report-descending bidder order; every report stays
-    below v_max.  At reserve c the agent survives iff its report b is at
-    least c, and then pays the filtered route's price: c plus the plain
-    payment rule on the surviving reports shifted down by c.  At rank t <= s
-    with value v, that utility is affine in c between reports, so with
-    a_j = x_{j-1} - x_j summed over ranks j = t+1..min(s+1, n) and reports
+    below v_max.  At reserve r the agent survives iff its report b is at
+    least r, and then pays the filtered route's price: r plus the plain
+    payment rule on the surviving reports shifted down by r.  At rank t <= s
+    with value v, that utility is affine in r between reports, so with
+    g_j = x_{j-1} - x_j summed over ranks j = t+1..min(s+1, n) and reports
     below 0 read as 0:
-        u(0)                        = v*x_t - sum a_j*b_j
-        integral of u on [0, v_max] = x_t*(v*b - b^2/2) - sum a_j*b_j^2/2
-        E                           = (1 - q)*u(0) + (q/v_max)*integral.
-    An agent ranked past s, or reporting below 0, gets 0.  The tests check
-    it against `reserve_vcg` integrated piece by piece."""
-    own = reports[agent]
-    rank = ranked.index(agent) + 1
-    if rank > inst.s or own < 0:
-        return Fraction(0)
-    x_t = inst.ctr(rank)
-    value = inst.values[agent]
-    at_zero = value * x_t
-    area = x_t * (value * own - own * own / 2)
-    for j in range(rank + 1, min(inst.s + 1, inst.n) + 1):
-        below = reports[ranked[j - 1]]
-        if below <= 0:
-            break
-        gap = inst.ctr(j - 1) - inst.ctr(j)
-        at_zero -= gap * below
-        area -= gap * below * below / 2
-    return (1 - q) * at_zero + q * area / v_max
+        u(0)                            = v*x_t - sum g_j*b_j
+        2 * integral of u on [0, v_max] = x_t*(2*v*b - b^2) - sum g_j*b_j^2
+        2*c*v_max*E                     = 2*(c - a)*v_max*u(0)
+                                          + a * (2 * integral).
+    An agent ranked past s, or reporting below 0, gets 0.
+
+    Only sums and products appear, so the form works on whatever numbers it
+    is given: on `Fraction`s it is 2*c*v_max*E; with v_max, the values and
+    the reports times D and the CTRs times X it is D*D*X times that, an int
+    when those scaled inputs are ints.  The tests check it against
+    `reserve_vcg` integrated piece by piece."""
+    a, c = q.numerator, q.denominator
+    weight = 2 * (c - a) * v_max
+    s = len(ctrs)
+    stop = min(s + 1, len(values))
+    x = (*ctrs, 0)
+    gaps = [hi - lo for hi, lo in zip(x, x[1:])]  # gaps[j - 1] is g_j, from 0
+
+    def utility(agent, candidate):
+        reports, ranked = candidate
+        rank = ranked.index(agent)  # counted from 0
+        own = reports[agent]
+        if rank >= s or own < 0:
+            return 0
+        x_t, value = x[rank], values[agent]
+        at_zero = value * x_t
+        area = x_t * (2 * value - own) * own
+        for j in range(rank + 1, stop):
+            below = reports[ranked[j]]
+            if below <= 0:
+                break
+            at_zero -= gaps[j - 1] * below
+            area -= gaps[j - 1] * below * below
+        return weight * at_zero + a * area
+
+    return utility
 
 
 class SseVerdict(Record):
@@ -204,9 +251,22 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
 
     Certification is meaningful only with at least as many slots as bidders;
     with fewer slots the first loser is a free indifferent member and a
-    deviation is expected (a ContractWarning flags that regime).  Raises
-    BudgetExceededError up front when the searched space (the sum over
-    coalitions of their grid sizes' product) exceeds the search budget.
+    deviation is expected (a ContractWarning flags that regime).  A v_max
+    at or below the top value is an InputError.  Then, before any grid is
+    built, BudgetExceededError is raised when the searched space (the sum
+    over coalitions of their grid sizes' product, `misreport_grid_size`
+    each) exceeds the search budget.
+
+    The search runs on ints.  The values, v_max and every grid point are
+    scaled once by the lcm D of their denominators and the CTRs by the lcm
+    X of theirs, so `_closed_form` gives the int 2*c*(v_max*D)*D*X*E for
+    every candidate and every comparison keeps its outcome.  The truthful
+    baseline is the `Fraction` result of `expected_utilities_vcg_star`
+    times that factor (an AssertionError if it is no int).  Each candidate
+    is ranked by sorting its int reports.  A witness is mapped back to
+    `Fraction` reports and judged again through `expected_utilities_vcg_star`
+    and `first_deviation`; an AssertionError is raised if the two routes
+    disagree.
     """
     if max_coalition is None:
         max_coalition = min(inst.n, 4)
@@ -216,14 +276,27 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
         warnings.warn("certification requires at least as many slots as "
                       "bidders; expect a deviation", ContractWarning,
                       stacklevel=2)
+    truthful = expected_utilities_vcg_star(inst, cfg)  # rejects a low v_max
+    points = misreport_grid_size(inst.n, refine)
+    check_budget(sum(math.comb(inst.n, size) * points ** size
+                     for size in range(1, max_coalition + 1)),
+                 unit="misreport combos")
     v_max = cfg.resolved_v_max(inst)
     grids = [misreport_grid(inst, i, refine, v_max) for i in range(inst.n)]
-    check_budget(sum(math.prod(len(grids[i]) for i in members)
-                     for size in range(1, max_coalition + 1)
-                     for members in itertools.combinations(range(inst.n), size)),
-                 unit="misreport combos")
-    truthful = expected_utilities_vcg_star(inst, cfg, None)
-    values = inst.values
+    d = math.lcm(*(f.denominator
+                   for f in itertools.chain(inst.values, [v_max], *grids)))
+    xd = math.lcm(*(f.denominator for f in inst.ctrs))
+    scaled_v_max = int(v_max * d)
+    values = [int(v * d) for v in inst.values]
+    utility = _closed_form(cfg.q_reserve, scaled_v_max, values,
+                           [int(x * xd) for x in inst.ctrs])
+    factor = 2 * cfg.q_reserve.denominator * scaled_v_max * d * xd
+    base = [e * factor for e in truthful]
+    if any(b.denominator != 1 for b in base):
+        raise AssertionError(f"scaled truthful utilities {base} are not ints")
+    base = [int(b) for b in base]
+    grids = [[int(p * d) for p in grid] for grid in grids]
+    bidders = range(inst.n)
     checked = 0
 
     def candidates(members):
@@ -232,19 +305,21 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
                                values, members)
         for reports in rebids(values, members, joints):
             checked += 1
-            ranked = sorted(range(inst.n), key=reports.__getitem__, reverse=True)
-            yield reports, ranked
-
-    def expected(i, candidate):
-        return _expected_utility(inst, cfg.q_reserve, v_max, *candidate, i)
+            yield reports, sorted(bidders, key=reports.__getitem__, reverse=True)
 
     for size in range(1, max_coalition + 1):
         for members in itertools.combinations(range(inst.n), size):
             found = first_deviation(candidates(members), members,
-                                    [truthful[i] for i in members], expected,
-                                    WEAK)
-            if found is not None:
-                return SseVerdict(False, members, found[0], checked)
+                                    [base[i] for i in members], utility, WEAK)
+            if found is None:
+                continue
+            witness = tuple(Fraction(r, d) for r in found[0])
+            moved = expected_utilities_vcg_star(inst, cfg, witness)
+            if first_deviation([witness], members, [truthful[i] for i in members],
+                               lambda i, _: moved[i], WEAK) is None:
+                raise AssertionError(f"integer search witness {witness} fails "
+                                     "the exact Fraction check")
+            return SseVerdict(False, members, witness, checked)
     return SseVerdict(True, combos_checked=checked)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -6,7 +7,7 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import settings
 
-from coalstab import auction, games, srsg
+from coalstab import auction, games, reserve, srsg
 from coalstab.errors import InputError
 
 # every property test is reproducible and untimed; each sets only max_examples
@@ -102,6 +103,35 @@ def random_auction(rng: random.Random, s: int, n: int) -> auction.AuctionInstanc
     values = sorted(rng.sample(range(1, 50 * n), n), reverse=True)
     ctrs = sorted(rng.sample(range(1, 40 * s), s), reverse=True)
     return auction.AuctionInstance(s, values, ctrs)
+
+
+def brute_force_sse(inst: auction.AuctionInstance, cfg: reserve.VcgStarConfig,
+                    refine: int, max_coalition: int) -> tuple:
+    """The oracle of `reserve.check_truthful_sse`, with its candidates written
+    by hand: for each coalition in the same order, the product of its
+    members' `misreport_grid`s written into a copy of the truthful reports;
+    combos whose n reports are not pairwise distinct (a member ties another
+    or an outsider's value) are skipped; each is scored with the public
+    `expected_utilities_vcg_star` and judged by the weak rule (no member
+    loses, one gains).  Returns (certified, members, reports, combos)."""
+    v_max = cfg.resolved_v_max(inst)
+    truthful = reserve.expected_utilities_vcg_star(inst, cfg)
+    grids = [reserve.misreport_grid(inst, i, refine, v_max) for i in range(inst.n)]
+    combos = 0
+    for size in range(1, max_coalition + 1):
+        for members in itertools.combinations(range(inst.n), size):
+            for joint in itertools.product(*(grids[i] for i in members)):
+                reports = list(inst.values)
+                for i, b in zip(members, joint):
+                    reports[i] = b
+                if len(set(reports)) < inst.n:
+                    continue
+                combos += 1
+                moved = reserve.expected_utilities_vcg_star(inst, cfg, reports)
+                gains = [moved[i] - truthful[i] for i in members]
+                if min(gains) >= 0 and max(gains) > 0:
+                    return False, members, tuple(reports), combos
+    return True, None, None, combos
 
 
 # The Fraction oracle of the pair move at a boundary equilibrium: the

@@ -8,7 +8,7 @@ import pytest
 
 from coalstab import auction, reserve
 from coalstab.errors import BudgetExceededError, ContractWarning, InputError
-from conftest import random_auction
+from conftest import brute_force_sse, random_auction
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +114,27 @@ class TestExpectedUtilities:
                     assert samples[1] - samples[0] == samples[2] - samples[1]
 
 
+class TestVcgStarConfig:
+    @pytest.mark.parametrize("q_reserve, v_max, expected", [
+        (1, None, (Fraction(1), None)),
+        (Fraction(1, 3), 7, (Fraction(1, 3), Fraction(7))),
+        ("1/2", "15/2", (Fraction(1, 2), Fraction(15, 2))),
+        ("0.25", None, (Fraction(1, 4), None)),
+    ])
+    def test_rationals_are_kept_exactly(self, q_reserve, v_max, expected):
+        cfg = reserve.VcgStarConfig(q_reserve, v_max)
+        assert (cfg.q_reserve, cfg.v_max) == expected
+
+    @pytest.mark.parametrize("q_reserve, v_max", [
+        (0.1, None), (True, None), (False, None), ("abc", None), (None, None),
+        ([1, 2], None), (Fraction(1, 2), 12.5), (Fraction(1, 2), True),
+        (Fraction(1, 2), "1/0"), (Fraction(1, 2), object()),
+    ])
+    def test_anything_else_is_an_input_error(self, q_reserve, v_max):
+        with pytest.raises(InputError):
+            reserve.VcgStarConfig(q_reserve, v_max)
+
+
 class TestTruthTellingSearch:
     def test_certified_with_enough_slots(self, square):
         for q in (Fraction(1, 4), Fraction(1, 2)):
@@ -147,7 +168,10 @@ class TestTruthTellingSearch:
         overtaken = negative = zero = 0
         for _ in range(100):
             s, n = rng.randrange(1, 6), rng.randrange(2, 7)
-            inst = random_auction(rng, s, n)
+            drawn_inst = random_auction(rng, s, n)
+            # CTRs with a denominator, so the int route scales them too
+            inst = auction.AuctionInstance(s, drawn_inst.values,
+                                           [x / 7 for x in drawn_inst.ctrs])
             v_max = 4 * inst.values[0]
             q = Fraction(rng.randrange(0, 4), 3)
             # a third of the draws lie below 0, under every reserve
@@ -157,13 +181,22 @@ class TestTruthTellingSearch:
             ordered = [Fraction(r, 2) for r in sorted(drawn, reverse=True)]
             shuffled = shuffler.sample(ordered, n)
             cfg = reserve.VcgStarConfig(q, v_max)
+            d = math.lcm(*(f.denominator for f in (v_max, *inst.values, *ordered)))
+            xd = math.lcm(*(f.denominator for f in inst.ctrs))
+            exact = reserve._closed_form(q, v_max, inst.values, inst.ctrs)
+            scaled = reserve._closed_form(q, int(v_max * d),
+                                          [int(v * d) for v in inst.values],
+                                          [int(x * xd) for x in inst.ctrs])
             for reports in (ordered, shuffled):
                 reference = midpoint_integral(inst, q, v_max, reports)
                 assert reserve.expected_utilities_vcg_star(inst, cfg, reports) == reference
                 ranked = sorted(range(n), key=reports.__getitem__, reverse=True)
+                ints = [int(r * d) for r in reports]
                 for agent in range(n):
-                    assert reserve._expected_utility(
-                        inst, q, v_max, reports, ranked, agent) == reference[agent]
+                    # the search path's identity: 2*c*v_max*E, times D*D*X on ints
+                    doubled = 2 * q.denominator * v_max * reference[agent]
+                    assert exact(agent, (reports, ranked)) == doubled
+                    assert scaled(agent, (ints, ranked)) == doubled * d * d * xd
             overtaken += shuffled != ordered
             negative += ordered[-1] < 0
             zero += 0 in ordered
@@ -187,6 +220,63 @@ class TestTruthTellingSearch:
         monkeypatch.setenv("COALSTAB_BUDGET", str(space))
         verdict = reserve.check_truthful_sse(square, cfg)
         assert verdict.certified and verdict.combos_checked <= space
+
+    def test_budget_is_charged_before_any_grid_is_built(self, square, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("a grid was built before the budget check")
+
+        monkeypatch.delenv("COALSTAB_BUDGET", raising=False)
+        monkeypatch.setattr(reserve, "misreport_grid", unbuilt)
+        with pytest.raises(BudgetExceededError) as info:
+            reserve.check_truthful_sse(square, reserve.VcgStarConfig(Fraction(1, 2)), 40)
+        points = 4 * (2 ** 40 - 1) + 2
+        assert info.value.required == 3 * points + 3 * points ** 2 + points ** 3
+
+    def test_grid_size_has_a_closed_form(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            n, refine = rng.randrange(2, 6), rng.randrange(1, 5)
+            den = rng.randrange(1, 5)
+            values = [Fraction(v, den)
+                      for v in sorted(rng.sample(range(1, 30 * n), n), reverse=True)]
+            inst = auction.AuctionInstance(1, values, (1,))
+            v_max = values[0] + Fraction(rng.randrange(1, 40), rng.randrange(1, 5))
+            for agent in range(n):
+                assert len(reserve.misreport_grid(inst, agent, refine, v_max)) == \
+                    reserve.misreport_grid_size(n, refine)
+
+    @pytest.mark.parametrize("v_max", [5, 6])
+    def test_low_v_max_is_refused_before_the_budget(self, square, monkeypatch, v_max):
+        monkeypatch.setenv("COALSTAB_BUDGET", "3")
+        with pytest.raises(InputError, match="every report must stay below v_max"):
+            reserve.check_truthful_sse(square, reserve.VcgStarConfig(Fraction(1, 2), v_max))
+
+    def test_integer_search_matches_brute_force(self):
+        rng = random.Random(41)
+        deviations = full_size = 0
+        for _ in range(40):
+            n, s = rng.randrange(2, 5), rng.randrange(1, 5)
+            dv, dx = rng.randrange(1, 6), rng.randrange(1, 6)
+            values = [Fraction(v, dv)
+                      for v in sorted(rng.sample(range(1, 40 * n), n), reverse=True)]
+            ctrs = [Fraction(x, dx)
+                    for x in sorted(rng.sample(range(1, 30 * s), s), reverse=True)]
+            inst = auction.AuctionInstance(s, values, ctrs)
+            q = Fraction(rng.randrange(0, 5), 4)
+            v_max = rng.choice([None, values[0] * Fraction(rng.randrange(4, 12), 3)
+                                + Fraction(1, 7)])
+            cfg = reserve.VcgStarConfig(q, v_max)
+            refine = rng.randrange(1, 3) if n <= 3 else 1
+            max_coalition = rng.randrange(1, min(n, 4) + 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ContractWarning)
+                verdict = reserve.check_truthful_sse(inst, cfg, refine, max_coalition)
+            assert (verdict.certified, verdict.members, verdict.reports,
+                    verdict.combos_checked) == \
+                brute_force_sse(inst, cfg, refine, max_coalition)
+            deviations += not verdict.certified
+            full_size += max_coalition == n
+        assert deviations >= 12 and full_size >= 12
 
     def test_no_single_agent_grid_misreport_helps(self, square):
         cfg = reserve.VcgStarConfig(Fraction(1, 2))
