@@ -12,13 +12,13 @@ arithmetic is exact, and a deviation exists only on a strict inequality.
 """
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import ContractError, InputError, TieError
-from .games import WEAK, check_budget, check_kind, first_deviation, rebids, scaled
+from .games import STRICT, WEAK, check_budget, check_kind, first_deviation, rebids, scaled
 from .records import Record
 
 LE = "le"
@@ -416,32 +416,37 @@ def bid_grid(inst: AuctionInstance, bids: Sequence, refine: int = 4) -> tuple:
     the pair (1, 3) deviates only if bidder 3 bids below 1/2, and the
     lowest point at refine 4 is 43/8.  A witness found on the grid is a real
     deviation; finding none does not rule one out."""
+    d, points = _scaled_bid_grid(_as_fraction_tuple(bids), refine)
+    return tuple(Fraction(p, d) for p in points)
+
+
+def _scaled_bid_grid(bids: tuple, refine: int, extra: Sequence = ()) -> tuple:
+    """(d, points): `bid_grid` times d as ascending ints.  d is 2*refine
+    times the lcm of the denominators of `bids` and `extra`, so every gap
+    between the grid's anchors splits into 2*refine int steps and `extra`
+    scales to ints as well."""
     if refine < 1:
         raise InputError("refine must be at least 1")
-    anchors = sorted({Fraction(b) for b in bids})
-    points = gap_points([Fraction(0), *anchors, 2 * anchors[-1]], 2 * refine)
-    return tuple(sorted(points.union(anchors)))
+    d = 2 * refine * lcm(*(f.denominator for f in (*bids, *extra)))
+    anchors = sorted({b.numerator * (d // b.denominator) for b in bids})
+    points = gap_points([0, *anchors, 2 * anchors[-1]], 2 * refine)
+    return d, sorted(points.union(anchors))
 
 
 def gap_points(anchors: Sequence, pieces: int) -> set:
     """The pieces - 1 evenly spaced interior points of each gap between
-    consecutive `anchors` (ascending `Fraction`s): the grid rule of
-    `bid_grid` and `reserve.misreport_grid`."""
+    consecutive `anchors`: the grid rule of `bid_grid` and
+    `reserve.misreport_grid`.  The anchors are ints, scaled by the caller
+    so that `pieces` divides every gap, and the points are ints on the same
+    scale (AssertionError for a gap that does not divide)."""
     points = set()
     for a, b in zip(anchors, anchors[1:]):
-        step = (b - a) / pieces
+        step, rest = divmod(b - a, pieces)
+        if rest:
+            raise AssertionError(f"gap {a}..{b} does not split into {pieces} "
+                                 "int steps")
         points.update(a + step * t for t in range(1, pieces))
     return points
-
-
-def untied_joints(joints, profile: Sequence, positions: Sequence):
-    """The joint rebids whose entries tie neither each other nor an
-    outsider's entry of `profile` (generic-profile assumption)."""
-    member_set = set(positions)
-    others = {b for i, b in enumerate(profile) if i not in member_set}
-    for joint in joints:
-        if len(set(joint)) == len(joint) and others.isdisjoint(joint):
-            yield joint
 
 
 def exhaustive_bid_search(inst: AuctionInstance, bids: Sequence,
@@ -456,58 +461,97 @@ def exhaustive_bid_search(inst: AuctionInstance, bids: Sequence,
     raises BudgetExceededError up front when the grid^r joint rebids
     (r = |members|) exceed the search budget.
 
-    The scan runs on ints.  The grid, the bids and the values are scaled
-    once by the lcm D of their denominators and the CTRs by the lcm X of
-    theirs, so every utility becomes an int D*X times the true one and
-    every comparison keeps its outcome.  Outsiders never rebid, so one
-    bisection over their sorted bids gives, for each grid point, the number
-    of outsiders above it and the highest outsider bid below it (0 if
-    none).  A member bidding c then holds rank 1 + (outsiders above c) +
-    (members above c) and pays the larger of that outsider bid and the
-    highest member bid below c; past slot s its utility is 0.  Each member
-    utility is O(r) int work, computed only when `first_deviation` asks
-    for it, so a candidate dropped at its first failing member costs one
-    member's utility, and the n - r outsiders are never touched.  A witness
-    is re-judged once through `gsp_outcome`, the `Fraction` route."""
+    The scan runs on ints.  The grid is built scaled (`_scaled_bid_grid`),
+    by a d that also turns the bids and values into ints, and the CTRs are
+    scaled by the lcm X of their denominators, so every utility becomes an
+    int d*X times the true one and every comparison keeps its outcome.
+    Outsiders never rebid, so one bisection over their sorted bids gives,
+    for each grid point, the number of outsiders above it and the highest
+    outsider bid below it (0 if none).  A member bidding c then holds rank
+    1 + (outsiders above c) + (members above c) and pays the larger of that
+    outsider bid and the highest member bid below c; past slot s its
+    utility is 0.  The grid points an outsider bids are taken off every
+    member's axis, and no joint in which two members bid alike is built.
+
+    Only candidates in which every member can still reach its base utility
+    u_j are judged.  Let U_j(P) be member j's utility by the rule above
+    when only the members' bids P (j's own among them) join the outsiders'.
+    Every candidate that extends P gives j a rank t' >= t and a price
+    p' >= p, since each added bid lands above j's or below it, so j's
+    utility there is at most max(0, U_j(P)): when v_j >= p' it is
+    (v_j - p') x_t' <= (v_j - p) x_t' <= (v_j - p) x_t with x decreasing,
+    and otherwise, or past slot s, it is at most 0.  A deviation needs
+    every member's utility to reach u_j (weak) or u_j + 1 (strict, on
+    ints), call it need_j; only a member with need_j > 0 can fail it here.
+    So a grid point c leaves such a member's axis when U_j({c}) < need_j,
+    and a prefix of the first k + 1 < r members' bids is dropped with all
+    its completions when such a member of the prefix has
+    U_j(prefix) < need_j.  The survivors come in
+    `itertools.product` order, and every candidate dropped would have
+    failed, so `first_deviation`, which judges every survivor in full,
+    returns the same first witness as the unpruned scan.
+
+    Each member utility is O(r) int work, computed only when asked for, so
+    a candidate dropped at its first failing member costs one member's
+    utility, and the n - r outsiders are never touched.  A witness is
+    re-judged once through `gsp_outcome`, the `Fraction` route."""
     check_kind(kind)
     bids = _as_fraction_tuple(bids)
     indices = [rank - 1 for rank in _check_ranks(members, inst.n)]
     if min(bids, default=0) < 0:
         raise InputError("bids must be nonnegative")
     base = gsp_outcome(inst, bids).utilities
-    grid = bid_grid(inst, bids, refine)
-    check_budget(len(grid) ** len(indices))
-    d = lcm(*(f.denominator for f in grid + bids + inst.values))
+    d, grid = _scaled_bid_grid(bids, refine, inst.values)
+    r = len(indices)
+    check_budget(len(grid) ** r)
     xd = lcm(*(f.denominator for f in inst.ctrs))
     x = [int(f * xd) for f in inst.ctrs]
-    points = {int(p * d): p for p in grid}
-    work = [int(b * d) for b in bids]
-    outsiders = sorted(b for i, b in enumerate(work) if i not in indices)
+    outsiders = sorted(int(b * d) for i, b in enumerate(bids) if i not in indices)
+    taken = set(outsiders)
     above, below = {}, {}
-    for c in points:
-        k = bisect_left(outsiders, c)
-        above[c] = len(outsiders) - bisect_right(outsiders, c)
-        below[c] = outsiders[k - 1] if k else 0
+    for c in grid:
+        if c not in taken:
+            k = bisect_left(outsiders, c)
+            above[c] = len(outsiders) - k
+            below[c] = outsiders[k - 1] if k else 0
     values = [int(inst.values[i] * d) for i in indices]
+    start = [int(base[i] * d * xd) for i in indices]
+    need = [u + (kind == STRICT) for u in start]  # a strict gain is >= 1
     s = inst.s
 
     def utility(j, joint):
         c = joint[j]
         rank, price = above[c], below[c]  # rank counted from 0
-        for other in joint:
+        for other in joint:  # a bid equal to c, j's own, counts for neither
             if other > c:
                 rank += 1
             elif price < other < c:
                 price = other
         return (values[j] - price) * x[rank] if rank < s else 0
 
-    joints = untied_joints(itertools.product(points, repeat=len(indices)),
-                           work, indices)
-    found = first_deviation(joints, range(len(indices)),
-                            [int(base[i] * d * xd) for i in indices], utility, kind)
+    # (c,) * r stands for j bidding c against the outsiders alone
+    axes = [[c for c in above if need[j] <= 0 or utility(j, (c,) * r) >= need[j]]
+            for j in range(r)]
+    prunable = [[j for j in range(k + 1) if need[j] > 0] for k in range(r)]
+
+    def joints(prefix):
+        """The surviving joints that extend `prefix`, in product order."""
+        k = len(prefix)
+        if k == r - 1:
+            for c in axes[k]:
+                if c not in prefix:
+                    yield prefix + (c,)
+            return
+        for c in axes[k]:
+            if c not in prefix:
+                joint = prefix + (c,)
+                if k == 0 or all(utility(j, joint) >= need[j] for j in prunable[k]):
+                    yield from joints(joint)
+
+    found = first_deviation(joints(()), range(r), start, utility, kind)
     if found is None:
         return None
-    witness = next(rebids(bids, indices, [[points[c] for c in found]]))
+    witness = next(rebids(bids, indices, [[Fraction(c, d) for c in found]]))
     moved = gsp_outcome(inst, witness).utilities
     if first_deviation([witness], indices, [base[i] for i in indices],
                        lambda i, _: moved[i], kind) is None:

@@ -26,7 +26,7 @@ import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .auction import AuctionInstance, gap_points, untied_joints, welfare_prices
+from .auction import AuctionInstance, gap_points, welfare_prices
 from .errors import ContractWarning, InputError
 from .games import WEAK, check_budget, first_deviation, rational_from_str, rebids
 from .records import Record
@@ -149,20 +149,27 @@ def misreport_grid(inst: AuctionInstance, agent: int, refine: int,
     Expected utility as a function of one report changes form only where
     that report crosses another's, and inside such a cell it is a concave
     quadratic when the reserve is random (affine when q = 0), so the grid
-    samples every cell rather than witnessing it exactly."""
+    samples every cell rather than witnessing it exactly.  The points are
+    built on ints (`auction.gap_points`): the cell ends are scaled by
+    2^(refine+1) times the lcm of their denominators, so every cell splits
+    into 2^refine int steps and each probe sits half the smallest step from
+    the value.  No point equals any bidder's value."""
     if not 0 <= agent < inst.n:
         raise InputError(f"agent {agent} out of range")
     if refine < 1:
         raise InputError("refine must be at least 1")
+    pieces = 2 ** refine
     anchors = sorted(set(inst.values) | {Fraction(0), Fraction(v_max)})
-    points = gap_points(anchors, 2 ** refine)
-    gaps = [b - a for a, b in zip(anchors, anchors[1:])]
-    delta = min(gaps) / 4 / 2 ** (refine - 1)
-    own = inst.values[agent]
+    d = 2 * pieces * math.lcm(*(a.denominator for a in anchors))
+    scaled = [a.numerator * (d // a.denominator) for a in anchors]
+    points = gap_points(scaled, pieces)
+    delta = min(b - a for a, b in zip(scaled, scaled[1:])) // (2 * pieces)
+    own = int(inst.values[agent] * d)
     points.add(own - delta)
     points.add(own + delta)
     points.discard(own)
-    return tuple(sorted(p for p in points if 0 < p < v_max))
+    top = v_max * d
+    return tuple(Fraction(p, d) for p in sorted(points) if 0 < p < top)
 
 
 def misreport_grid_size(n: int, refine: int) -> int:
@@ -262,8 +269,10 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
     X of theirs, so `_closed_form` gives the int 2*c*(v_max*D)*D*X*E for
     every candidate and every comparison keeps its outcome.  The truthful
     baseline is the `Fraction` result of `expected_utilities_vcg_star`
-    times that factor (an AssertionError if it is no int).  Each candidate
-    is ranked by sorting its int reports.  A witness is mapped back to
+    times that factor (an AssertionError if it is no int).  Combos in which
+    two members report alike are skipped; no grid point equals a value
+    (`misreport_grid`), so no member ties an outsider.  Each candidate is
+    ranked by sorting its int reports.  A witness is mapped back to
     `Fraction` reports and judged again through `expected_utilities_vcg_star`
     and `first_deviation`; an AssertionError is raised if the two routes
     disagree.
@@ -301,8 +310,8 @@ def check_truthful_sse(inst: AuctionInstance, cfg: VcgStarConfig,
 
     def candidates(members):
         nonlocal checked
-        joints = untied_joints(itertools.product(*(grids[i] for i in members)),
-                               values, members)
+        joints = (joint for joint in itertools.product(*(grids[i] for i in members))
+                  if len(set(joint)) == len(joint))
         for reports in rebids(values, members, joints):
             checked += 1
             yield reports, sorted(bidders, key=reports.__getitem__, reverse=True)

@@ -26,19 +26,21 @@ _INT_RE = re.compile(r"-?[0-9]+")
 
 
 def format_cell(cell) -> str:
+    # bool before int (a bool is an int); int and str before Fraction,
+    # whose isinstance check runs through ABCMeta and costs several times more
     if isinstance(cell, bool):
         raise InputError("boolean cells are not supported; use 0/1")
-    if isinstance(cell, Fraction):
-        return f"{cell.numerator}/{cell.denominator}"
     if isinstance(cell, int):
         return str(cell)
-    if isinstance(cell, float):
-        _require_finite(cell)
-        return repr(cell)
     if isinstance(cell, str):
         if not isinstance(parse_cell(cell), str):
             raise InputError(f"string cell {cell!r} would read back as a number")
         return cell
+    if isinstance(cell, Fraction):
+        return f"{cell.numerator}/{cell.denominator}"
+    if isinstance(cell, float):
+        _require_finite(cell)
+        return repr(cell)
     raise InputError(f"unsupported cell type {type(cell).__name__}")
 
 

@@ -134,6 +134,49 @@ def brute_force_sse(inst: auction.AuctionInstance, cfg: reserve.VcgStarConfig,
     return True, None, None, combos
 
 
+def reference_bid_grid(bids: Sequence, refine: int) -> tuple:
+    """The oracle of `auction.bid_grid`, on `Fraction`s: the bids plus
+    2*refine - 1 evenly spaced interior points of each gap between 0, the
+    sorted distinct bids and twice the top bid."""
+    anchors = sorted({Fraction(b) for b in bids})
+    fences = [Fraction(0), *anchors, 2 * anchors[-1]]
+    points = set(anchors)
+    for a, b in zip(fences, fences[1:]):
+        step = (b - a) / (2 * refine)
+        points.update(a + step * t for t in range(1, 2 * refine))
+    return tuple(sorted(points))
+
+
+def reference_misreport_grid(inst: auction.AuctionInstance, agent: int,
+                             refine: int, v_max) -> tuple:
+    """The oracle of `reserve.misreport_grid`, on `Fraction`s: 2^refine - 1
+    evenly spaced interior points of each cell between 0, the values and
+    v_max, plus the agent's value moved either way by the smallest cell
+    over 2^(refine+1), inside (0, v_max)."""
+    fences = sorted(set(inst.values) | {Fraction(0), Fraction(v_max)})
+    points = set()
+    for a, b in zip(fences, fences[1:]):
+        step = (b - a) / 2 ** refine
+        points.update(a + step * t for t in range(1, 2 ** refine))
+    delta = min(b - a for a, b in zip(fences, fences[1:])) / 2 ** (refine + 1)
+    own = inst.values[agent]
+    points.update((own - delta, own + delta))
+    points.discard(own)
+    return tuple(sorted(p for p in points if 0 < p < v_max))
+
+
+def gsp_utility(value, bid, others: Sequence, ctrs: Sequence):
+    """One bidder's GSP utility, written apart from the library: with value
+    `value`, bidding `bid` against the other nonnegative bids `others` (none
+    equal to `bid`), it takes slot 1 + (bids above), pays the highest bid
+    below (0 if none) per click, and gets 0 past the last slot."""
+    rank = sum(1 for other in others if other > bid)
+    if rank >= len(ctrs):
+        return 0
+    price = max((other for other in others if other < bid), default=0)
+    return (value - price) * ctrs[rank]
+
+
 # The Fraction oracle of the pair move at a boundary equilibrium: the
 # library decides every pair on scaled ints (`auction._deviation_thresholds`),
 # and these two independent routes check it.

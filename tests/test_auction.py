@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from coalstab import auction, games
 from coalstab.errors import BudgetExceededError, ContractError, InputError, TieError
-from conftest import (classify_shape, pair_gain, random_auction, simulate_pair_deviation,
-                      vcg_payments_recursive, verify_symmetric_ne)
+from conftest import (classify_shape, gsp_utility, pair_gain, random_auction,
+                      reference_bid_grid, simulate_pair_deviation, vcg_payments_recursive,
+                      verify_symmetric_ne)
 
 
 @st.composite
@@ -418,6 +419,9 @@ class TestCoalitionReduction:
             assert gsp < truthful == auction.potential_count(8, r)
 
 
+SCAN_CAP = 15_000
+
+
 class TestGridSearch:
     """s=2, LE, coalition (1, 3): bidder 3 shades below 1/2 and bidder 1
     takes slot 2 at that price; the grid's lowest point is 43/8."""
@@ -483,18 +487,106 @@ class TestGridSearch:
         n = data.draw(st.integers(2, 2 * s + 2), label="n")
         inst = auction.AuctionInstance(s, data.draw(decreasing_rationals(n)),
                                        data.draw(decreasing_rationals(s)))
-        if n > s:
+        if n <= s or data.draw(st.booleans(), label="off-equilibrium"):
+            bids = list(data.draw(st.permutations(data.draw(decreasing_rationals(n))),
+                                  label="bids"))
+            if data.draw(st.booleans(), label="zero bid"):
+                bids[bids.index(min(bids))] = Fraction(0)
+        else:
             bids = auction.equilibrium_bids(
                 inst, data.draw(st.sampled_from((auction.LE, auction.UE)), label="eq"))
-        else:
-            bids = data.draw(st.permutations(data.draw(decreasing_rationals(n))),
-                             label="bids")
-        size = data.draw(st.integers(1, min(3, n)), label="size")
+        size = data.draw(st.integers(1, min(4, n)), label="size")
+
+        # the Fraction oracle judges up to grid^size candidates, one
+        # `gsp_outcome` each; SCAN_CAP bounds its time, not what is drawn
+        def scan(refine):
+            return len(auction.bid_grid(inst, bids, refine)) ** size
+
+        while scan(1) > SCAN_CAP:
+            size -= 1
+        refine = data.draw(st.integers(1, max(t for t in (1, 2, 3) if scan(t) <= SCAN_CAP)),
+                           label="refine")
         members = data.draw(st.sampled_from(
             list(itertools.combinations(range(1, n + 1), size))), label="members")
-        refine = data.draw(st.integers(1, 2), label="refine")
         assert (auction.exhaustive_bid_search(inst, bids, members, kind, refine)
                 == fraction_scan(inst, bids, members, kind, refine))
+
+    @pytest.mark.parametrize("s, values, ctrs, bids, members, witness", [
+        # member 2 sits exactly at its base on the prefix (13/2, 19/4)
+        (2, (12, 10, 3, 2), (4, 2), (12, "13/2", 3, 2), (1, 2, 4),
+         ("13/2", "19/4", 3, 1)),
+        # bidder 4 (base 0) bidding 11/2 above its value 2 loses money
+        # against the outsiders alone, and is pushed past the slot by bidder 1
+        (1, (12, 10, 8, 2), (3,), (12, 4, 7, 8), (1, 3, 4), (7, 4, 2, "11/2")),
+    ], ids=["prefix-at-base", "negative-alone-base-zero"])
+    def test_pruning_keeps_knife_edge_witnesses(self, s, values, ctrs, bids, members,
+                                                witness):
+        inst = auction.AuctionInstance(s, values, ctrs)
+        bids = tuple(Fraction(b) for b in bids)
+        found = auction.exhaustive_bid_search(inst, bids, members, games.WEAK, 1)
+        assert found == tuple(Fraction(w) for w in witness)
+        assert found == fraction_scan(inst, bids, members, games.WEAK, 1)
+
+    def test_bid_grid_matches_fraction_reference(self, tiny):
+        rng = random.Random(47)
+        zeros = 0
+        for _ in range(200):
+            n = rng.randrange(1, 8)
+            den = rng.randrange(1, 9)
+            bids = [Fraction(rng.randrange(1, 60), den) * Fraction(1, rng.randrange(1, 4))
+                    for _ in range(n)]
+            if rng.random() < 0.25:
+                bids.append(Fraction(0))
+                zeros += 1
+            refine = rng.randrange(1, 5)
+            assert auction.bid_grid(tiny, bids, refine) == reference_bid_grid(bids, refine)
+        assert zeros >= 20
+
+    @settings(max_examples=100)
+    @given(ctrs=decreasing_rationals(3), value=st.fractions(0, 64, max_denominator=12),
+           bids=st.lists(st.fractions(0, 64, max_denominator=12), min_size=1,
+                         max_size=8, unique=True),
+           split=st.integers(0, 8))
+    def test_added_bids_never_lift_a_utility_above_its_bound(self, ctrs, value,
+                                                            bids, split):
+        # the bound the grid search prunes by: against any superset of
+        # `others`, a bidder gets at most max(0, its utility against `others`)
+        bid, rest = bids[0], bids[1:]
+        others, added = rest[:split], rest[split:]
+        before = gsp_utility(value, bid, others, ctrs)
+        assert gsp_utility(value, bid, others + added, ctrs) <= max(0, before)
+
+    def test_gsp_utility_matches_gsp_outcome(self):
+        rng = random.Random(53)
+        for _ in range(100):
+            s = rng.randrange(1, 5)
+            inst = random_auction(rng, s, rng.randrange(2, 2 * s + 3))
+            bids = [Fraction(b, 3) for b in rng.sample(range(0, 150 * inst.n), inst.n)]
+            utilities = auction.gsp_outcome(inst, bids).utilities
+            for i in range(inst.n):
+                assert utilities[i] == gsp_utility(
+                    inst.values[i], bids[i], bids[:i] + bids[i + 1:], inst.ctrs)
+
+    @pytest.fixture()
+    def ue_undercount(self):
+        return auction.AuctionInstance(4, (217, 179, 133, 94, 67), (137, 92, 58, 43))
+
+    @pytest.mark.xfail(strict=True, reason="the thresholds price only the move in "
+                       "which k takes slot j-1; here bidder 4 drops below bidder 5 "
+                       "and bidder 1 takes slot 4 at bidder 4's shaded bid")
+    def test_pair_rule_sees_the_ue_undercount_deviation(self, ue_undercount):
+        assert auction.coalition_deviates(ue_undercount, auction.UE, (1, 4))
+
+    def test_ue_undercount_witness_is_a_real_weak_deviation(self, ue_undercount):
+        # the first witness, found through the pruned scan, checked on
+        # `Fraction`s: bidder 1 gains slot 4, bidder 4 stays at utility 0
+        bids = auction.ue_bids(ue_undercount)
+        witness = auction.exhaustive_bid_search(ue_undercount, bids, (1, 4),
+                                                games.WEAK, 4)
+        assert witness == (Fraction(47, 2), *bids[1:3], Fraction(47, 4), bids[4])
+        base = auction.gsp_outcome(ue_undercount, bids).utilities
+        moved = auction.gsp_outcome(ue_undercount, witness).utilities
+        assert moved[0] > base[0] and moved[3] == base[3] == 0
 
     @pytest.mark.xfail(strict=True, reason="bid_grid's lowest point is 43/8; "
                        "the deviation needs bidder 3 below 1/2")

@@ -8,7 +8,7 @@ import pytest
 
 from coalstab import auction, reserve
 from coalstab.errors import BudgetExceededError, ContractWarning, InputError
-from conftest import brute_force_sse, random_auction
+from conftest import brute_force_sse, random_auction, reference_misreport_grid
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +314,74 @@ class TestTruthTellingSearch:
                 assert all(0 < g < v_max for g in grid)
                 assert square.values[agent] not in grid
                 assert len(grid) >= 2 ** refine
+
+    def test_no_grid_point_equals_any_value(self):
+        # so a member's report never ties an outsider's truthful one, and
+        # the search filters only ties among the members
+        rng = random.Random(59)
+        for _ in range(60):
+            n, refine = rng.randrange(2, 6), rng.randrange(1, 4)
+            den = rng.randrange(1, 5)
+            values = [Fraction(v, den)
+                      for v in sorted(rng.sample(range(1, 30 * n), n), reverse=True)]
+            inst = auction.AuctionInstance(1, values, (1,))
+            v_max = values[0] + Fraction(rng.randrange(1, 40), rng.randrange(1, 5))
+            for agent in range(n):
+                grid = reserve.misreport_grid(inst, agent, refine, v_max)
+                assert not set(grid).intersection(values)
+
+    def test_grid_matches_fraction_reference(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            n, refine = rng.randrange(2, 6), rng.randrange(1, 5)
+            dv, dx = rng.randrange(1, 7), rng.randrange(1, 7)
+            values = [Fraction(v, dv)
+                      for v in sorted(rng.sample(range(1, 30 * n), n), reverse=True)]
+            inst = auction.AuctionInstance(1, values, (1,))
+            v_max = rng.choice([2 * values[0],
+                                values[0] + Fraction(rng.randrange(1, 40), dx)])
+            for agent in range(n):
+                assert reserve.misreport_grid(inst, agent, refine, v_max) == \
+                    reference_misreport_grid(inst, agent, refine, v_max)
+
+    def test_tied_member_reports_are_skipped(self, square):
+        # every coalition's combos, less those in which two members report
+        # alike; members share their interior grid points, so ties occur
+        cfg = reserve.VcgStarConfig(Fraction(1, 2))
+        v_max = cfg.resolved_v_max(square)
+        grids = [reserve.misreport_grid(square, i, 2, v_max) for i in range(square.n)]
+        untied = tied = 0
+        for size in range(1, square.n + 1):
+            for members in itertools.combinations(range(square.n), size):
+                for joint in itertools.product(*(grids[i] for i in members)):
+                    if len(set(joint)) == size:
+                        untied += 1
+                    else:
+                        tied += 1
+        verdict = reserve.check_truthful_sse(square, cfg, 2)
+        assert verdict.certified and tied > 0
+        assert verdict.combos_checked == untied
+
+    @pytest.mark.parametrize("case, refine, combos", [
+        ("square q=1/4", 1, 266), ("square q=1/4", 2, 2858),
+        ("square q=1/2", 1, 266), ("square q=1/2", 2, 2858),
+        ("square q=0", 1, 30), ("spare", 1, 135), ("four", 1, 2540)])
+    def test_combos_checked_are_pinned(self, square, case, refine, combos):
+        # the oracle-grid benchmark's reserve cases and their pinned counts
+        half = Fraction(1, 2)
+        inst, cfg = {
+            "square q=1/4": (square, reserve.VcgStarConfig(Fraction(1, 4))),
+            "square q=1/2": (square, reserve.VcgStarConfig(half)),
+            "square q=0": (square, reserve.VcgStarConfig(0)),
+            "spare": (auction.AuctionInstance(3, (8, 6, 4, 2), (4, 2, 1)),
+                      reserve.VcgStarConfig(half, 16)),
+            "four": (auction.AuctionInstance(4, (9, 7, 5, 3), (8, 4, 2, 1)),
+                     reserve.VcgStarConfig(half)),
+        }[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ContractWarning)
+            verdict = reserve.check_truthful_sse(inst, cfg, refine)
+        assert verdict.combos_checked == combos
 
 
 class TestSlotRandomisation:
