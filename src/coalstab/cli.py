@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import __version__, games
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, ContractError, InputError
 from .tables import ResultTable
 
 _WORKERS_ENV = "COALSTAB_WORKERS"
@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _error_record("budget exceeded", {"detail": exc})
         return 3
-    except (InputError, OSError, KeyError, ValueError) as exc:
+    except (InputError, ContractError, OSError, KeyError, ValueError) as exc:
         _error_record(type(exc).__name__, {"detail": exc})
         return 1
 

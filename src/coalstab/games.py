@@ -49,10 +49,12 @@ def env_int(name: str, default: int) -> int:
 
 def search_budget(budget: Optional[int] = None) -> int:
     """Resolve the effective search budget (argument > env > default); a
-    negative budget, or an environment value that is no integer, is an
-    InputError."""
+    negative budget, one that is no int (a bool or a float), or an
+    environment value that is no integer, is an InputError."""
     if budget is None:
         budget = env_int(_BUDGET_ENV, DEFAULT_SEARCH_BUDGET)
+    if type(budget) is not int:  # nor a bool
+        raise InputError(f"search budget must be an int, got {budget!r}")
     if budget < 0:
         raise InputError(f"search budget must be nonnegative, got {budget}")
     return budget
@@ -66,6 +68,19 @@ def check_budget(space: int, budget: Optional[int] = None,
     limit = search_budget(budget)
     if space > limit:
         raise BudgetExceededError(space, limit, unit)
+
+
+def exact_rational(value, name: str) -> Fraction:
+    """`value` as a Fraction when it is an int, a Fraction or rational text
+    (`rational_from_str`); floats, bools and anything else are an
+    InputError that names `name`, since a float would carry its binary
+    rounding into an exact computation."""
+    if isinstance(value, str):
+        value = rational_from_str(value)
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InputError(f"{name} must be an int, a Fraction or rational "
+                         f"text, got {value!r}")
+    return Fraction(value)
 
 
 def scaled(values) -> list:
@@ -297,7 +312,7 @@ def score_vector(game: FiniteGame, profile: Sequence, kind: str = STRICT,
     n = game.player_count
     if r_max is None:
         r_max = n
-    if not 1 <= r_max <= n:
+    if not (type(r_max) is int and 1 <= r_max <= n):  # nor a bool
         raise InputError(f"r_max {r_max} outside 1..{n}")
     limit = search_budget(budget)
     counts = []

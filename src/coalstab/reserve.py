@@ -28,25 +28,12 @@ from typing import Optional, Sequence
 
 from .auction import AuctionInstance, gap_points, welfare_prices
 from .errors import ContractWarning, InputError
-from .games import WEAK, check_budget, first_deviation, rational_from_str, rebids
+from .games import WEAK, check_budget, exact_rational, first_deviation, rebids
 from .records import Record
 
 FILTERED = "filtered"
 CLAMPED = "clamped"
 _MODES = (FILTERED, CLAMPED)
-
-
-def _rational(value, name: str) -> Fraction:
-    """`value` as a Fraction when it is an int, a Fraction or rational text
-    (`games.rational_from_str`); floats, bools and anything else are an
-    InputError, since a float would carry its binary rounding into q or
-    v_max."""
-    if isinstance(value, str):
-        value = rational_from_str(value)
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise InputError(f"{name} must be an int, a Fraction or rational "
-                         f"text, got {value!r}")
-    return Fraction(value)
 
 
 class VcgStarConfig(Record):
@@ -59,11 +46,11 @@ class VcgStarConfig(Record):
     v_max: Optional[Fraction] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "q_reserve", _rational(self.q_reserve, "q_reserve"))
+        object.__setattr__(self, "q_reserve", exact_rational(self.q_reserve, "q_reserve"))
         if not 0 <= self.q_reserve <= 1:
             raise InputError("q_reserve must lie in [0, 1]")
         if self.v_max is not None:
-            object.__setattr__(self, "v_max", _rational(self.v_max, "v_max"))
+            object.__setattr__(self, "v_max", exact_rational(self.v_max, "v_max"))
             if self.v_max <= 0:
                 raise InputError("v_max must be positive")
 

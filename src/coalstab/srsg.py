@@ -25,14 +25,15 @@ Assignment = tuple  # k rows of n resource indices in range(m)
 
 
 class CostFn(Record):
-    """Nondecreasing per-load cost table; values[t-1] is the cost at load t."""
+    """Nondecreasing per-load cost table; values[t-1] is the cost at load t.
+    Each value is an int, a Fraction or rational text; a float or a bool is
+    an InputError (`games.exact_rational`)."""
 
     values: tuple
 
     def __post_init__(self):
-        values = tuple(
-            v if isinstance(v, int) else Fraction(v) for v in self.values
-        )
+        values = tuple(v if type(v) is int else games.exact_rational(v, "cost")
+                       for v in self.values)
         object.__setattr__(self, "values", values)
         if not values:
             raise InputError("cost function needs at least one value")
@@ -60,6 +61,8 @@ class SrsgInstance(Record):
     cost: CostFn
 
     def __post_init__(self):
+        if not all(type(x) is int for x in (self.m, self.n, self.k)):  # nor a bool
+            raise InputError("m, n and k must be ints")
         if min(self.m, self.n, self.k) < 2:
             raise InputError("m, n and k must all be at least 2")
         if len(self.cost.values) < self.n:
@@ -463,12 +466,21 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     members' slacks (baseline cost minus cost so far, costs scaled to ints),
     with the outsiders' loads the profile's sum less the members' ints.
     Each step subtracts every achievable vector of step costs and keeps the
-    entrywise-maximal slacks that can still end in a deviation: costs are
-    nonnegative, so a slack below 0 (weak) or at most 0 (strict) never
-    recovers.  The coalition deviates when a slack vector survives the last
-    step, with some entry above 0 for a weak deviation.  `_step_costs` is
-    cached for the game's lifetime on a step's packed outsider fields and
-    on their sorted loads; a call adds at most k entries to each cache.
+    slacks that can still end in a deviation, at least 1 (strict) or 0
+    (weak) after the last step.  Costs are nondecreasing in the load, so in
+    step t every member pays at least `cheapest(t)`, the cost at the least
+    outsider load plus one.  That reach bound makes the need after step t
+    the floor plus the `cheapest` costs of the later steps: a slack below
+    it never recovers, and a member whose baseline falls short of the
+    floor plus every step's `cheapest` rejects the coalition before any
+    step.  Step 0 adds the distinct maximal step-cost vectors to one slack
+    vector, so its survivors are already entrywise-maximal; the middle
+    steps keep only the entrywise-maximal survivors (`_pareto_max`); the
+    last step only asks whether some sum reaches the floor, with some entry
+    above 0 for a weak deviation, and stops at the first that does.  The
+    caches live as long as the game: `step_costs` (`_step_costs`) on a
+    step's packed outsider fields and on their sorted loads, and `cheapest`
+    on the packed fields; a call adds at most k entries to each cache.
     """
     values = inst.cost.values
     m, n, k = inst.m, inst.n, inst.k
@@ -501,6 +513,7 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
         return -cost
 
     row = width * m  # the bits of one step's m fields
+    row_mask = (1 << row) - 1
     by_loads = functools.cache(functools.partial(_step_costs, costs))
 
     @functools.cache
@@ -508,6 +521,12 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
         """`_step_costs` for the outsider loads packed in one step's `fields`."""
         loads = sorted([fields >> s & mask for s in range(0, row, width)])
         return by_loads(tuple(loads), r)
+
+    @functools.cache
+    def cheapest(fields: int) -> int:
+        """The least any member pays in the step of `fields`: the cost at
+        the least outsider load plus the member itself."""
+        return costs[min([fields >> s & mask for s in range(0, row, width)])]
 
     def deviation_test(members, profile, kind):
         loads = loads_of(profile)
@@ -521,17 +540,31 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
             for s in shifts[a]:
                 cost += costs[(loads >> s & mask) - 1]
             base.append(cost)
+        fields = [outside >> row * t & row_mask for t in range(k)]
+        needs = [floor] * k  # needs[t]: the least slack that survives step t
+        for t in range(k - 1, 0, -1):
+            needs[t - 1] = needs[t] + cheapest(fields[t])
+        if min(base) < needs[0] + cheapest(fields[0]):
+            return False
         slacks = [tuple(base)]
-        for t in range(k):
-            vectors = step_costs(outside >> row * t & (1 << row) - 1, r)
+        for t in range(k - 1):
+            vectors = step_costs(fields[t], r)
+            need = needs[t]
             # tuple() of a list, not of a generator, reuses freed tuples of
             # its size; of a generator it allocates anew and memory grows
             sums = (tuple([a + b for a, b in zip(s, v)])
                     for s in slacks for v in vectors)
-            slacks = _pareto_max([d for d in sums if min(d) >= floor])
+            slacks = [d for d in sums if min(d) >= need]
             if not slacks:
                 return False
-        return floor == 1 or any(map(any, slacks))
+            if t:  # base plus distinct maximal vectors is already maximal
+                slacks = _pareto_max(slacks)
+        for v in step_costs(fields[-1], r):
+            for s in slacks:
+                d = [a + b for a, b in zip(s, v)]
+                if min(d) >= floor and (floor or any(d)):
+                    return True
+        return False
 
     return games.FiniteGame(n, (action_count,) * n, utility,
                             deviation_test=deviation_test)

@@ -116,6 +116,21 @@ def test_c04_random_equilibrium_pair_count_expectation(m, n, k):
            time.monotonic() - start, 300)
 
 
+def test_srsg_equilibria_compared_at_scale():
+    """srsg(6,30,3) scored up to r = 3 through the deviation hook: the
+    repeat equilibrium against a seeded random one.  The vectors are pinned;
+    no runtime gate."""
+    inst = srsg.SrsgInstance(6, 30, 3, srsg.CostFn.linear(30))
+    game = srsg.induced_game(inst)
+    pinned = {("repeat", games.STRICT): (0, 0, 60), ("repeat", games.WEAK): (0, 0, 60),
+              ("random", games.STRICT): (0, 0, 0), ("random", games.WEAK): (0, 0, 129)}
+    equilibria = {"repeat": srsg.build_repeat_ne(inst),
+                  "random": srsg.sample_random_ne(inst, 5)}
+    for (name, kind), counts in pinned.items():
+        profile = srsg.assignment_to_profile(inst, equilibria[name])
+        assert games.score_vector(game, profile, kind, 3).counts == counts, (name, kind)
+
+
 def test_c05_revenue_equivalence_and_recursion_identity():
     start = time.monotonic()
     rng = random.Random(55)

@@ -177,6 +177,21 @@ class TestSrsgCommand:
         assert json.loads(err.strip()) == {"error": "InputError",
                                            "detail": "seed must be nonnegative"}
 
+    # CostFn takes any nondecreasing cost; the equilibrium builders and the
+    # sampler are proven for convex ones only
+    @pytest.mark.parametrize("args,detail", [
+        (("--profile", "repeat"), "repeat construction is analysed for convex costs"),
+        (("--profile", "random", "--samples", "3", "--seed", "1"),
+         "random equilibrium sampling requires convex costs"),
+        (("--profile", "scatter", "--method", "bruteforce"),
+         "scatter construction is analysed for convex costs"),
+    ], ids=["repeat", "random", "scatter-bruteforce"])
+    def test_nonconvex_cost_is_a_contract_error_record(self, capsys, args, detail):
+        code, out, err = run_cli(capsys, "srsg", "--m", "4", "--n", "6", "--k", "2",
+                                 "--cost", "0,2,3,3,3,3", *args)
+        assert (code, out) == (1, "")
+        assert json.loads(err.strip()) == {"error": "ContractError", "detail": detail}
+
 
 class TestAuctionCommand:
     def test_pair_count_row(self, capsys):

@@ -416,6 +416,27 @@ class TestEncoding:
         with pytest.raises(InputError):
             srsg.CostFn((3, 2, 1))
 
+    # a float count would reach `bit_length` or build a game of 32.0
+    # actions; a bool or a float cost would be kept as a number
+    @pytest.mark.parametrize("build", [
+        lambda: srsg.SrsgInstance(4, 6.0, 2, srsg.CostFn.linear(6)),
+        lambda: srsg.SrsgInstance(4, 6, 2.5, srsg.CostFn.linear(6)),
+        lambda: srsg.SrsgInstance(True, 6, 2, srsg.CostFn.linear(6)),
+        lambda: srsg.CostFn((1, True, 3, 4, 5, 6)),
+        lambda: srsg.CostFn((1, 2.5, 3)),
+        lambda: games.score_vector(srsg.induced_game(srsg.SrsgInstance(
+            2, 3, 2, srsg.CostFn.linear(3))), (0, 0, 0), r_max=True),
+        lambda: games.search_budget(True),
+        lambda: games.search_budget(2.5),
+    ], ids=["float-n", "float-k", "bool-m", "bool-cost", "float-cost",
+            "bool-r-max", "bool-budget", "float-budget"])
+    def test_numbers_must_be_ints_or_rationals(self, build):
+        with pytest.raises(InputError):
+            build()
+
+    def test_cost_keeps_exact_rationals(self):
+        assert srsg.CostFn((1, "3/2", Fraction(2))).values == (1, Fraction(3, 2), 2)
+
     # all n agents on the last resource in every step fill the top field to
     # n, at both ends of the field widths 2, 3 and 4; the cost table runs to
     # load n + 1, so a field that wrapped to 0 cannot read the right cost
@@ -452,17 +473,25 @@ def costs(n):
     return rises.map(lambda r: srsg.CostFn(tuple(itertools.accumulate(r))))
 
 
+JOINT_CAP = 20_000  # the generic scan's joint space m^(k*r), the oracle's cost
+
+
 @st.composite
 def srsg_cases(draw):
     """An srsg instance with a linear or a random nondecreasing cost, two
-    arbitrary profiles and a few coalitions of at most three agents."""
-    m, n, k = draw(st.integers(2, 3)), draw(st.integers(3, 6)), draw(st.integers(2, 3))
+    arbitrary profiles and a few coalitions of up to five agents, as large
+    as keeps the generic scan's joint space m^(k*r) within JOINT_CAP: five
+    agents at m = k = 2, and at k = 4 three or two, so the hook's middle
+    steps run twice."""
+    m, n, k = draw(st.integers(2, 3)), draw(st.integers(3, 6)), draw(st.integers(2, 4))
     cost = srsg.CostFn.linear(n) if draw(st.booleans()) else draw(costs(n))
     inst = srsg.SrsgInstance(m, n, k, cost)
     action = st.integers(0, m ** k - 1)
     profiles = [tuple(draw(st.lists(action, min_size=n, max_size=n))) for _ in range(2)]
-    coalition = st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
-                         unique=True).map(lambda c: tuple(sorted(c)))
+    size = max(r for r in range(1, min(5, n) + 1) if m ** (k * r) <= JOINT_CAP)
+    coalition = st.integers(1, size).flatmap(lambda r: st.lists(
+        st.integers(0, n - 1), min_size=r, max_size=r, unique=True)).map(
+        lambda c: tuple(sorted(c)))
     return inst, profiles, draw(st.lists(coalition, min_size=1, max_size=3))
 
 
@@ -473,6 +502,12 @@ def crowded(n, k):
     that needs a 4-bit field."""
     inst = srsg.SrsgInstance(2, n, k, srsg.CostFn.linear(n))
     return inst, [(2 ** k - 1,) * n, (0,) * n], [(0,), (1, 2), (0, 3, 6)]
+
+
+# srsg(2,6,2) with a flat stretch in its cost, and coalitions of five: the
+# largest the differential draws, and only at m = k = 2
+FIVE = (srsg.SrsgInstance(2, 6, 2, srsg.CostFn((0, 1, 1, 2, 4, 4))),
+        [(3, 3, 3, 0, 1, 3), (3, 3, 3, 3, 3, 0)], [(0, 1, 2, 3, 4), (1, 2, 3, 4, 5)])
 
 
 class TestDeviationTest:
@@ -488,6 +523,8 @@ class TestDeviationTest:
     @example(case=crowded(8, 2), kind=games.WEAK)
     @example(case=crowded(8, 3), kind=games.STRICT)
     @example(case=crowded(8, 3), kind=games.WEAK)
+    @example(case=FIVE, kind=games.STRICT)
+    @example(case=FIVE, kind=games.WEAK)
     def test_hook_agrees_with_generic_scan(self, case, kind):
         inst, profiles, coalitions = case
         game = srsg.induced_game(inst)
@@ -499,6 +536,23 @@ class TestDeviationTest:
                 assert games.has_deviation(game, profile, members, kind) == \
                     (witness is not None)
                 assert games.find_deviation(game, profile, members, kind) == witness
+
+    # srsg(2,4,3), linear cost, coalition (2, 3), strict.  The outsiders 0
+    # and 1 leave a least load of 1, 1 and 0 in the three steps, so any
+    # member pays at least 2 + 2 + 1 = 5.  At (6, 5, 2, 7) agent 2 pays 6:
+    # its slack is exactly the remaining cheapest costs plus 1 at every step,
+    # and the deviation (0, 7) needs all of it.  At (6, 5, 0, 7) agent 2
+    # already pays 5, a unit short of any strict gain.
+    @pytest.mark.parametrize("profile,witness", [
+        ((6, 5, 2, 7), (0, 7)),
+        ((6, 5, 0, 7), None),
+    ], ids=["slack-equals-cheapest-sum", "slack-a-unit-short"])
+    def test_reach_bound_knife_edge(self, profile, witness):
+        inst = srsg.SrsgInstance(2, 4, 3, srsg.CostFn.linear(4))
+        game = srsg.induced_game(inst)
+        generic = games.FiniteGame(game.player_count, game.action_counts, game.utility)
+        assert games.find_deviation(generic, profile, (2, 3), games.STRICT) == witness
+        assert game.deviation_test((2, 3), profile, games.STRICT) == (witness is not None)
 
     def test_has_deviation_builds_no_witness(self, small_instance):
         calls = []
