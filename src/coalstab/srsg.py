@@ -440,10 +440,11 @@ def _step_costs(costs: Sequence, loads: tuple, r: int) -> list:
 
 
 def _pareto_max(vectors) -> list:
-    """The entrywise-maximal members of `vectors`, one copy of each.  A
-    vector that dominates another has the larger sum, so it is seen first."""
+    """The entrywise-maximal members of `vectors`, one copy of each.  Copies
+    are dropped first; a vector that dominates another has the larger sum,
+    so in the pass by descending sum it is seen first."""
     kept = []
-    for v in sorted(vectors, key=sum, reverse=True):
+    for v in sorted(set(vectors), key=sum, reverse=True):
         if not any(all(a >= b for a, b in zip(w, v)) for w in kept):
             kept.append(v)
     return kept
@@ -459,12 +460,25 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     reads the agent's k fields of that sum.  An action's packed int and
     field offsets are built the first time a call meets it, never as a
     table of all m^k; an action outside range(m^k) is an InputError there.
+    The game keeps the last tuple profile it summed (a held reference, so
+    an identity check is exact) with its loads: the members' calls on one
+    candidate share one sum.  A list is summed on every call, since it may
+    change in place.
 
     Ships an exact `deviation_test` hook, in agreement with the generic scan
-    on every input.  Costs add over steps and a step's loads depend only on
-    its own choices, so the hook folds the steps one at a time over the
-    members' slacks (baseline cost minus cost so far, costs scaled to ints),
-    with the outsiders' loads the profile's sum less the members' ints.
+    on every input.  A member's cost depends only on its own action and the
+    loads, and the outsiders' loads are the profile's loads less the
+    members' ints, so the scan's verdict depends only on the loads, the
+    multiset of the members' actions and the kind.  The hook memoises its
+    answers under the sorted tuple of the members' actions, for the current
+    loads and kind only: a query with other loads or another kind starts a
+    new memo.  So a score vector decides each coalition orbit (coalitions
+    equal up to relabelling agents with equal actions) once, and no answer
+    outlives the query it belongs to.
+
+    On a miss the hook folds the steps one at a time over the members'
+    slacks (baseline cost minus cost so far, costs scaled to ints): costs
+    add over steps and a step's loads depend only on its own choices.
     Each step subtracts every achievable vector of step costs and keeps the
     slacks that can still end in a deviation, at least 1 (strict) or 0
     (weak) after the last step.  Costs are nondecreasing in the load, so in
@@ -480,37 +494,57 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     above 0 for a weak deviation, and stops at the first that does.  The
     caches live as long as the game: `step_costs` (`_step_costs`) on a
     step's packed outsider fields and on their sorted loads, and `cheapest`
-    on the packed fields; a call adds at most k entries to each cache.
+    on the packed fields; a fold adds at most k entries to each cache.
     """
     values = inst.cost.values
     m, n, k = inst.m, inst.n, inst.k
     action_count = m ** k
     costs = games.scaled(values)
+    gains = [0] + [-v for v in values]  # gains[t]: the utility of load t's cost
     width = n.bit_length()
     mask = (1 << width) - 1
     packed, shifts = {}, {}  # action -> its packed int, its k field offsets
+    # the last tuple profile summed and its packed loads, as one pair, so a
+    # reader never sees the profile of one update with the loads of another
+    held = (None, 0)
 
     def loads_of(profile):
-        """The packed loads of `profile`, encoding each action the sum misses."""
+        """The packed loads of `profile`, encoding each action the sum
+        misses; a tuple's loads are held for the next call on it."""
+        nonlocal held
+        last, loads = held
+        if profile is last:
+            return loads
         while True:
             try:
-                return sum(map(packed.__getitem__, profile))
+                loads = sum(map(packed.__getitem__, profile))
+                break
             except KeyError as missing:
                 a = missing.args[0]
             if not (type(a) is int and 0 <= a < action_count):
                 raise InputError(f"action {a!r} outside range({action_count})")
             shifts[a] = [width * (t * m + a // m ** t % m) for t in range(k)]
             packed[a] = sum(1 << s for s in shifts[a])
+        if type(profile) is tuple:
+            held = (profile, loads)
+        return loads
 
     def utility(agent: int, profile):
-        try:
-            loads = sum(map(packed.__getitem__, profile))
-        except KeyError:
-            loads = loads_of(profile)
-        cost = 0
+        nonlocal held
+        last, loads = held
+        if profile is not last:
+            loads = 0
+            try:  # a plain loop: faster than sum(map(...)) at these lengths
+                for a in profile:
+                    loads += packed[a]
+            except KeyError:
+                loads = loads_of(profile)
+            if type(profile) is tuple:
+                held = (profile, loads)
+        u = 0
         for s in shifts[profile[agent]]:
-            cost += values[(loads >> s & mask) - 1]
-        return -cost
+            u += gains[loads >> s & mask]
+        return u
 
     row = width * m  # the bits of one step's m fields
     row_mask = (1 << row) - 1
@@ -528,11 +562,10 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
         the least outsider load plus the member itself."""
         return costs[min([fields >> s & mask for s in range(0, row, width)])]
 
-    def deviation_test(members, profile, kind):
-        loads = loads_of(profile)
-        own = [profile[i] for i in members]
+    def fold(own: tuple, loads: int, kind: str) -> bool:
+        """Whether members with the actions `own` deviate at `loads`."""
         outside = loads - sum(map(packed.__getitem__, own))
-        r = len(members)
+        r = len(own)
         floor = 1 if kind == games.STRICT else 0
         base = []
         for a in own:
@@ -565,6 +598,21 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
                 if min(d) >= floor and (floor or any(d)):
                     return True
         return False
+
+    memo = (None, None, {})  # (loads, kind, answers by sorted member actions)
+
+    def deviation_test(members, profile, kind):
+        nonlocal memo
+        loads = loads_of(profile)
+        own = tuple(sorted([profile[i] for i in members]))
+        at, of, answers = memo
+        if at != loads or of != kind:
+            answers = {}
+            memo = (loads, kind, answers)
+        answer = answers.get(own)
+        if answer is None:
+            answer = answers[own] = fold(own, loads, kind)
+        return answer
 
     return games.FiniteGame(n, (action_count,) * n, utility,
                             deviation_test=deviation_test)

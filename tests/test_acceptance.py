@@ -131,6 +131,18 @@ def test_srsg_equilibria_compared_at_scale():
         assert games.score_vector(game, profile, kind, 3).counts == counts, (name, kind)
 
 
+def test_srsg_repeat_equilibrium_scored_to_four():
+    """srsg(6,30,3)'s repeat equilibrium up to r = 4.  The default budget
+    charges each 4-coalition its 216^4 joint actions and refuses it, so the
+    budget is raised; the hook decides each of the 126 orbits of size 4
+    once.  The vectors are pinned; no runtime gate."""
+    inst = srsg.SrsgInstance(6, 30, 3, srsg.CostFn.linear(30))
+    profile = srsg.assignment_to_profile(inst, srsg.build_repeat_ne(inst))
+    game = srsg.induced_game(inst)
+    for kind, counts in ((games.STRICT, (0, 0, 60, 30)), (games.WEAK, (0, 0, 60, 1530))):
+        assert games.score_vector(game, profile, kind, 4, budget=10**14).counts == counts
+
+
 def test_c05_revenue_equivalence_and_recursion_identity():
     start = time.monotonic()
     rng = random.Random(55)

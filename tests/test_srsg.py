@@ -5,6 +5,8 @@ import math
 import multiprocessing
 import os
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -464,6 +466,31 @@ class TestEncoding:
             got, want = game.utility(agent, profile), -total_cost(inst, assignment, agent)
             assert (got, type(got)) == (want, type(want))
 
+    # the game holds the last tuple profile it summed; a list changed in
+    # place, or another tuple, must be summed afresh
+    @pytest.mark.parametrize("cost", [
+        srsg.CostFn.linear(5),
+        srsg.CostFn((Fraction(1, 2), 1, Fraction(5, 2), 4, Fraction(22, 3))),
+    ], ids=["int", "fraction"])
+    def test_utility_cache_never_serves_a_changed_profile(self, cost):
+        inst = srsg.SrsgInstance(3, 5, 2, cost)
+        game = srsg.induced_game(inst)
+        rng = random.Random(3)
+        work = [rng.randrange(9) for _ in range(5)]
+        pool = [tuple(rng.randrange(9) for _ in range(5)) for _ in range(4)]
+        for _ in range(300):
+            if rng.random() < 0.5:
+                agent = rng.randrange(5)
+                work[agent] = (work[agent] + rng.randrange(1, 9)) % 9
+                profile = work
+            else:  # the same tuple again, or an equal copy of it
+                profile = rng.choice(pool)
+                profile = profile if rng.random() < 0.5 else tuple(list(profile))
+            assignment = profile_to_assignment(inst, profile)
+            for agent in rng.sample(range(5), 5):
+                got, want = game.utility(agent, profile), -total_cost(inst, assignment, agent)
+                assert (got, type(got)) == (want, type(want))
+
 
 def costs(n):
     """Random nondecreasing costs up to load n: flat stretches and zero
@@ -570,6 +597,112 @@ class TestDeviationTest:
         assert games.find_deviation(hooked, profile, (0, 1)) == \
             games._generic_search(game, (0, 1), profile, games.STRICT)
         assert calls
+
+
+MEMO_CAP = 256  # the generic scan's joint space m^(k*r) per queried coalition
+
+
+@st.composite
+def memo_cases(draw):
+    """An srsg instance with a linear or a random nondecreasing cost and
+    two profiles, drawn from a few actions so that coalitions of equal
+    action multisets recur within and across the profiles."""
+    m, n, k = draw(st.integers(2, 3)), draw(st.integers(3, 5)), draw(st.integers(2, 3))
+    cost = srsg.CostFn.linear(n) if draw(st.booleans()) else draw(costs(n))
+    actions = draw(st.lists(st.integers(0, m ** k - 1), min_size=1, max_size=3))
+    action = st.sampled_from(actions)
+    profiles = [tuple(draw(st.lists(action, min_size=n, max_size=n))) for _ in range(2)]
+    return srsg.SrsgInstance(m, n, k, cost), profiles
+
+
+class TestHookMemo:
+    """The hook's answers hold only for the loads and kind they were found
+    at: every query agrees with the generic scan, whatever came before."""
+
+    @settings(max_examples=40)
+    @given(case=memo_cases(), rng=st.randoms(use_true_random=False))
+    def test_shuffled_queries_agree_with_generic_scan(self, case, rng):
+        inst, profiles = case
+        game = srsg.induced_game(inst)
+        sizes = [r for r in range(1, inst.n + 1) if inst.m ** (inst.k * r) <= MEMO_CAP]
+        queries = [(profile, members, kind)
+                   for profile in profiles for kind in (games.STRICT, games.WEAK)
+                   for r in sizes for members in itertools.combinations(range(inst.n), r)]
+        rng.shuffle(queries)
+        for profile, members, kind in queries:
+            want = games._generic_search(game, members, profile, kind) is not None
+            assert game.deviation_test(members, profile, kind) == want
+
+    # srsg(2,4,2), linear cost, coalition (0, 1) with actions (0, 0) both
+    # times.  Alone on resource 0 the pair moves together to resource 1 and
+    # pays 2 + 2 instead of 4 + 4; with agents 2 and 3 on resource 1 it has
+    # nowhere better to go.  So a memo keyed on the actions alone answers
+    # the second profile from the first.
+    @pytest.mark.parametrize("kind", [games.STRICT, games.WEAK])
+    def test_same_actions_under_other_loads(self, kind):
+        game = srsg.induced_game(srsg.SrsgInstance(2, 4, 2, srsg.CostFn.linear(4)))
+        for profile, want in (((0, 0, 0, 0), True), ((0, 0, 3, 3), False),
+                              ((0, 0, 0, 0), True)):
+            assert (games._generic_search(game, (0, 1), profile, kind) is not None) == want
+            assert game.deviation_test((0, 1), profile, kind) == want
+
+    # both caches are one-object snapshots, read once per call, so threads
+    # sharing a game never pair one profile's loads with another's
+    def test_threads_sharing_a_game_get_fresh_answers(self):
+        inst = srsg.SrsgInstance(3, 5, 2, srsg.CostFn.linear(5))
+        game = srsg.induced_game(inst)
+        rng = random.Random(5)
+        profiles = [tuple(rng.randrange(9) for _ in range(5)) for _ in range(8)]
+        kinds = (games.STRICT, games.WEAK)
+        utilities = {(p, a): -total_cost(inst, profile_to_assignment(inst, p), a)
+                     for p in profiles for a in range(5)}
+        answers = {(p, kind): games._generic_search(game, (0, 1), p, kind) is not None
+                   for p in profiles for kind in kinds}
+        wrong = []
+
+        def work(seed):
+            r = random.Random(seed)
+            for _ in range(3000):
+                p, a, kind = r.choice(profiles), r.randrange(5), r.choice(kinds)
+                if game.utility(a, p) != utilities[p, a]:
+                    wrong.append(("utility", p, a))
+                if game.deviation_test((0, 1), p, kind) != answers[p, kind]:
+                    wrong.append(("hook", p, kind))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
+def maximal(vectors) -> set:
+    """The vectors no other one of `vectors` is entrywise at least."""
+    return {v for v in vectors
+            if not any(w != v and all(a >= b for a, b in zip(w, v)) for w in vectors)}
+
+
+class TestParetoMax:
+    @settings(max_examples=200)
+    @given(size=st.integers(1, 4), data=st.data())
+    @example(size=2, data=None)
+    def test_keeps_one_copy_of_each_maximal_vector(self, size, data):
+        if data is None:
+            vectors = [(1, 0), (0, 1), (1, 0), (0, 0), (0, 1), (1, 0)]
+        else:
+            pool = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * size),
+                                      min_size=1, max_size=8))
+            vectors = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+        kept = srsg._pareto_max(vectors)
+        assert len(kept) == len(set(kept))
+        assert set(kept) == maximal(vectors)
 
 
 class TestOnDemandEncoding:
