@@ -18,7 +18,8 @@ from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import ContractError, InputError, TieError
-from .games import STRICT, WEAK, check_budget, check_kind, first_deviation, rebids, scaled
+from .games import (STRICT, WEAK, check_budget, check_kind, exact_rational, first_deviation,
+                    rebids, scaled)
 from .records import Record
 
 LE = "le"
@@ -26,8 +27,9 @@ UE = "ue"
 _EQUILIBRIA = (LE, UE)
 
 
-def _as_fraction_tuple(values) -> tuple:
-    return tuple(Fraction(v) for v in values)
+def _exact_tuple(values, name: str) -> tuple:
+    """`values` as a tuple of Fractions, each through `exact_rational`."""
+    return tuple(exact_rational(v, name) for v in values)
 
 
 def _strictly_decreasing(values) -> bool:
@@ -40,7 +42,8 @@ class AuctionInstance(Record):
     Both vectors are strictly decreasing and positive; values are pairwise
     distinct by construction.  n may be smaller than s (the randomized-reserve
     analysis needs surplus slots); operations that require competition for
-    slots check n > s themselves.
+    slots check n > s themselves.  `slot_count` is an int; every value and
+    CTR is an int, a Fraction or rational text (`games.exact_rational`).
     """
 
     slot_count: int
@@ -48,8 +51,10 @@ class AuctionInstance(Record):
     ctrs: tuple
 
     def __post_init__(self):
-        values = _as_fraction_tuple(self.values)
-        ctrs = _as_fraction_tuple(self.ctrs)
+        if type(self.slot_count) is not int:  # nor a bool
+            raise InputError(f"slot count must be an int, got {self.slot_count!r}")
+        values = _exact_tuple(self.values, "value")
+        ctrs = _exact_tuple(self.ctrs, "CTR")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "ctrs", ctrs)
         if self.slot_count < 1:
@@ -111,7 +116,7 @@ def welfare_prices(ctrs: Sequence, ranked_values: Sequence) -> tuple:
 def vcg_payments(inst: AuctionInstance, reports: Optional[Sequence] = None) -> tuple:
     """Per-click welfare price of each winner (`welfare_prices`).  `reports`
     (rank-sorted) replace the true values when given."""
-    vals = inst.values if reports is None else _as_fraction_tuple(reports)
+    vals = inst.values if reports is None else _exact_tuple(reports, "report")
     return welfare_prices(inst.ctrs, vals)
 
 
@@ -139,7 +144,7 @@ def gsp_outcome(inst: AuctionInstance, bids: Sequence) -> GspOutcome:
     Tied bids are rejected: the analysis assumes generic profiles, and no
     deterministic tie-break is neutral here.
     """
-    bids = _as_fraction_tuple(bids)
+    bids = _exact_tuple(bids, "bid")
     if len(bids) != inst.n:
         raise InputError("one bid per bidder required")
     if len(set(bids)) != len(bids):
@@ -312,71 +317,72 @@ def is_potential_coalition(members: Sequence, s: int, n: int) -> bool:
     return losers == list(range(s + 1, s + 1 + len(losers)))
 
 
-def potential_count(s: int, r: int) -> int:
-    """M_r = sum_{t=1..r} C(s, t): winner subsets padded with loser blocks."""
+def potential_count(s: int, n: int, r: int) -> int:
+    """M_r, the number of coalitions `iter_potential_coalitions(s, n, r)`
+    yields: t >= 1 winners from the w = min(s, n) winning ranks plus the
+    loser block s+1..s+r-t, which must end at or before n, so
+    M_r = sum of C(w, t) over 1 <= t <= r with r - t <= max(0, n - s),
+    which is 0 for r > n."""
     if r < 1:
         raise InputError("coalition size must be positive")
-    return sum(comb(s, t) for t in range(1, r + 1))
+    w = min(s, n)
+    return sum(comb(w, t) for t in range(max(1, r - max(0, n - s)), r + 1))
 
 
 def iter_potential_coalitions(s: int, n: int, r: int):
-    """Potential coalitions of size r as rank tuples, winners-only first."""
-    for winners in itertools.combinations(range(1, s + 1), r):
-        yield winners
-    for t in range(r - 1, 0, -1):
+    """Potential coalitions of size r as rank tuples, winners-only first,
+    then by shrinking winner count."""
+    for t in range(r, 0, -1):
         block = tuple(range(s + 1, s + 1 + (r - t)))
         if block and block[-1] > n:
             continue
-        for winners in itertools.combinations(range(1, s + 1), t):
+        for winners in itertools.combinations(range(1, min(s, n) + 1), t):
             yield winners + block
 
 
 def vcg_coalition_deviation(inst: AuctionInstance, members: Sequence) -> tuple:
-    """Construct the canonical joint misreport for a potential coalition under
-    the truthful auction: every member shades to the midpoint of its own value
-    gap.  Verifies that the allocation is unchanged, the cheapest member is
-    exactly unharmed and every other winning member strictly gains; returns
-    the full report vector."""
+    """The full report vector in which every member of a potential coalition
+    of two or more shades to the midpoint of its own value gap: the weak
+    deviation that `count_vcg_coalition_deviations`' proof builds.  A
+    coalition of one never gains (the auction is truthful), so it is a
+    ContractError, like a coalition that is not potential."""
     members = tuple(members)
-    if not is_potential_coalition(members, inst.s, inst.n):
-        raise ContractError("construction applies to potential coalitions only")
+    if not is_potential_coalition(members, inst.s, inst.n) or len(members) < 2:
+        raise ContractError("construction applies to potential coalitions "
+                            "of two or more only")
     reports = list(inst.values)
     for rank in members:
-        below = inst.value(rank + 1)
-        reports[rank - 1] = (inst.value(rank) + below) / 2
-    if not _strictly_decreasing(reports):
-        raise AssertionError("midpoint shading must preserve the ranking")
-    before = vcg_payments(inst)
-    after = vcg_payments(inst, reports)
-    indifferent = max(members)  # values decrease with rank
-    for rank in members:
-        if rank > inst.s:
-            continue  # losers stay at zero utility either way
-        gain = (before[rank - 1] - after[rank - 1]) * inst.ctr(rank)
-        if rank == indifferent:
-            if gain != 0:
-                raise AssertionError("cheapest member must be exactly unharmed")
-        elif gain <= 0:
-            raise AssertionError("every other winning member must strictly gain")
+        reports[rank - 1] = (inst.value(rank) + inst.value(rank + 1)) / 2
     return tuple(reports)
 
 
 def count_vcg_coalition_deviations(inst: AuctionInstance, r: int) -> int:
-    """Number of size-r potential coalitions whose canonical misreport
-    verifies as a weak deviation.  Raises BudgetExceededError up front when
-    the M_r coalitions (`potential_count`) exceed the search budget."""
-    check_budget(potential_count(inst.s, r), unit="potential coalitions")
-    count = 0
-    for members in iter_potential_coalitions(inst.s, inst.n, r):
-        vcg_coalition_deviation(inst, members)  # raises if not a deviation
-        count += 1
-    return count
+    """Number of size-r potential coalitions with a weak deviation under the
+    truthful auction: M_r (`potential_count`) for r >= 2 and 0 for r = 1,
+    by the proof below; no coalition is built and no budget is charged.
+
+    Winner i pays sum_{j=i+1..s+1} (x_{j-1} - x_j) b_j per impression, on
+    the reports b ranked below it (`welfare_prices`), never its own.
+    Midpoint shading, b_j = (v_j + v_{j+1}) / 2 for every member j, keeps
+    every rank, so the allocation and every value stay.  So a winner with a
+    member j ranked below it at j <= s+1 pays (x_{j-1} - x_j)(v_j - b_j) > 0
+    less for each such j, a winner with no such member pays the same, and
+    losers stay at 0.  A potential coalition of size >= 2 has either two
+    winners or a winner plus the loser block that starts at s+1: in both its
+    top member has a member below it at a rank of at most s+1, so no member
+    loses and one gains.  A single bidder never gains, because the truthful
+    auction is truthful."""
+    m_r = potential_count(inst.s, inst.n, r)
+    return m_r if r > 1 else 0
 
 
 def _has_deviating_pair(lo: list, s: int, members: Sequence) -> bool:
-    """Some pair (k, j) of members with j <= s+1 has k >= lo[j]."""
+    """Some pair (k, j) of the ascending `members` with j <= s+1 has
+    k >= lo[j].  For each j the deviating k form the suffix lo[j]..j-1, so
+    that holds exactly when the closest member below some j reaches
+    lo[j]: O(r) over neighbouring members."""
     eligible = [rank for rank in members if rank <= s + 1]
-    return any(k >= lo[j] for k, j in itertools.combinations(eligible, 2))
+    return any(k >= lo[j] for k, j in zip(eligible, eligible[1:]))
 
 
 def coalition_deviates(inst: AuctionInstance, eq: str, members: Sequence) -> bool:
@@ -394,7 +400,7 @@ def count_coalition_deviations(inst: AuctionInstance, eq: str, r: int) -> int:
     Raises BudgetExceededError up front when the M_r coalitions
     (`potential_count`) exceed the search budget."""
     lo = _deviation_thresholds(inst, eq)
-    check_budget(potential_count(inst.s, r), unit="potential coalitions")
+    check_budget(potential_count(inst.s, inst.n, r), unit="potential coalitions")
     return sum(_has_deviating_pair(lo, inst.s, members)
                for members in iter_potential_coalitions(inst.s, inst.n, r))
 
@@ -416,7 +422,7 @@ def bid_grid(inst: AuctionInstance, bids: Sequence, refine: int = 4) -> tuple:
     the pair (1, 3) deviates only if bidder 3 bids below 1/2, and the
     lowest point at refine 4 is 43/8.  A witness found on the grid is a real
     deviation; finding none does not rule one out."""
-    d, points = _scaled_bid_grid(_as_fraction_tuple(bids), refine)
+    d, points = _scaled_bid_grid(_exact_tuple(bids, "bid"), refine)
     return tuple(Fraction(p, d) for p in points)
 
 
@@ -496,7 +502,7 @@ def exhaustive_bid_search(inst: AuctionInstance, bids: Sequence,
     utility, and the n - r outsiders are never touched.  A witness is
     re-judged once through `gsp_outcome`, the `Fraction` route."""
     check_kind(kind)
-    bids = _as_fraction_tuple(bids)
+    bids = _exact_tuple(bids, "bid")
     indices = [rank - 1 for rank in _check_ranks(members, inst.n)]
     if min(bids, default=0) < 0:
         raise InputError("bids must be nonnegative")
@@ -585,12 +591,13 @@ class ShapeSpec(Record):
     def __post_init__(self):
         if self.kind not in SHAPE_KINDS:
             raise InputError(f"unknown shape kind {self.kind!r}")
-        if self.length < 2:
-            raise InputError("shapes need at least two entries")
+        if type(self.length) is not int or self.length < 2:  # nor a bool
+            raise InputError(f"shapes need an int length of at least 2, "
+                             f"got {self.length!r}")
         for name in ("beta", "high", "low"):
             raw = getattr(self, name)
             if raw is not None:
-                object.__setattr__(self, name, Fraction(raw))
+                object.__setattr__(self, name, exact_rational(raw, name))
         if self.kind.startswith("beta_"):
             if self.beta is None or self.beta <= 1:
                 raise InputError("beta shapes need beta > 1")
@@ -651,8 +658,8 @@ class ReserveWitness(Record):
 def gsp_reserve_witness(inst: AuctionInstance, bids: Sequence, c) -> Optional[ReserveWitness]:
     """First bidder whose (bid, value) pair straddles the reserve c, i.e. who
     would rebid once the reserve binds; None when c separates no pair."""
-    c = Fraction(c)
-    bids = _as_fraction_tuple(bids)
+    c = exact_rational(c, "reserve")
+    bids = _exact_tuple(bids, "bid")
     if len(bids) != inst.n:
         raise InputError("one bid per bidder required")
     for rank in range(1, inst.n + 1):

@@ -181,11 +181,11 @@ def cmd_auction(args) -> int:
     if args.table1:
         table = ResultTable(("v_shape", "x_shape", "s", "d2", "m2", "ratio"),
                             provenance=_provenance(args, "auction"))
-        m2 = auction.potential_count(args.s, 2)
         for v_shape in TABLE1_SHAPES:
             for x_shape in TABLE1_SHAPES:
                 inst = build_instance(args.s, args.n, v_shape, x_shape)
                 d2 = auction.count_pair_deviations(inst, args.eq)
+                m2 = auction.potential_count(inst.s, inst.n, 2)
                 table.append(v_shape, x_shape, args.s, d2, m2, d2 / m2)
         _emit(table, args)
         return 0
@@ -195,6 +195,9 @@ def cmd_auction(args) -> int:
                         provenance=_provenance(args, "auction"))
     counts = [(2, True)] if args.count_pairs else []
     if args.count_coalitions is not None:
+        if args.count_coalitions > inst.n:  # no coalition to count, no ratio
+            raise InputError(f"coalition size {args.count_coalitions} exceeds "
+                             f"the {inst.n} bidders")
         counts.append((args.count_coalitions, False))
     if not counts:
         raise InputError("nothing to do: pass --count-pairs, "
@@ -208,7 +211,7 @@ def cmd_auction(args) -> int:
                 count = auction.count_pair_deviations(inst, args.eq)
             else:
                 count = auction.count_coalition_deviations(inst, args.eq, r)
-            m_r = auction.potential_count(inst.s, r)
+            m_r = auction.potential_count(inst.s, inst.n, r)
             table.append(args.eq, inst.s, r, count, m_r, count / m_r)
     except BudgetExceededError as exc:
         cut = {"s": inst.s, "eq": args.eq}
@@ -331,7 +334,7 @@ def cmd_sweep(args) -> int:
         inst = build_instance(s, None, args.v, args.x)
         d2 = auction.count_pair_deviations(inst, args.eq)
         table.append(args.v.strip(), args.x.strip(), s, args.eq,
-                     d2, auction.potential_count(s, 2))
+                     d2, auction.potential_count(s, inst.n, 2))
     _emit(table, args)
     return 0
 

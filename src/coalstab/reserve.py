@@ -69,7 +69,7 @@ class ReserveOutcome(Record):
 def _ranked_reports(inst: AuctionInstance, reports: Optional[Sequence]):
     if reports is None:
         reports = inst.values
-    reports = tuple(Fraction(r) for r in reports)
+    reports = tuple(exact_rational(r, "report") for r in reports)
     if len(reports) != inst.n:
         raise InputError("one report per bidder required")
     if len(set(reports)) != len(reports):
@@ -89,7 +89,7 @@ def reserve_vcg(inst: AuctionInstance, c, mode: str = FILTERED,
     """
     if mode not in _MODES:
         raise InputError(f"mode must be one of {_MODES}")
-    c = Fraction(c)
+    c = exact_rational(c, "reserve")
     if c < 0:
         raise InputError("reserve price must be nonnegative")
     reports, order = _ranked_reports(inst, reports)
@@ -146,7 +146,8 @@ def misreport_grid(inst: AuctionInstance, agent: int, refine: int,
     if refine < 1:
         raise InputError("refine must be at least 1")
     pieces = 2 ** refine
-    anchors = sorted(set(inst.values) | {Fraction(0), Fraction(v_max)})
+    v_max = exact_rational(v_max, "v_max")
+    anchors = sorted(set(inst.values) | {Fraction(0), v_max})
     d = 2 * pieces * math.lcm(*(a.denominator for a in anchors))
     scaled = [a.numerator * (d // a.denominator) for a in anchors]
     points = gap_points(scaled, pieces)
@@ -341,7 +342,7 @@ def vcg_star_lambda(inst: AuctionInstance, lam) -> LambdaExtension:
     rate, which the payment rule tolerates (their pairwise CTR differences
     vanish from every sum).
     """
-    lam = Fraction(lam)
+    lam = exact_rational(lam, "lambda")
     if not 0 < lam < Fraction(1, inst.n):
         raise InputError("lambda must lie strictly between 0 and 1/n")
     if inst.n <= inst.s:
@@ -358,4 +359,4 @@ def vcg_star_lambda(inst: AuctionInstance, lam) -> LambdaExtension:
 
 def lambda_payment_gap_bound(inst: AuctionInstance, lam) -> Fraction:
     """v_1 * n * lam, the advertised ceiling on any winner's payment shift."""
-    return inst.values[0] * inst.n * Fraction(lam)
+    return inst.values[0] * inst.n * exact_rational(lam, "lambda")

@@ -411,32 +411,16 @@ def assignment_to_profile(inst: SrsgInstance, assignment: Sequence) -> tuple:
 def _step_costs(costs: Sequence, loads: tuple, r: int) -> list:
     """Pareto-minimal vectors of r members' costs in one step.
 
-    `loads` are the outsiders' loads sorted ascending, `costs[t-1]` the
-    cost at load t.  Resources with equal outsider load are interchangeable,
-    so they are filled in order: a member may take such a resource only when
-    an earlier member already took the one before it.  A vector another one
-    is at most entrywise never helps a coalition, so it is dropped.  The
-    vectors are returned negated, ready to be added to slacks.
+    `loads` are the outsiders' loads, `costs[t-1]` the cost at load t.
+    Every one of the m^r picks of a resource per member is tried (the
+    search budget caps m^(k*r) with k >= 2, so at the default that is at
+    most 10^4); a member on resource c pays the cost at c's outsider load
+    plus the members there.  A vector another one is at most entrywise
+    never helps a coalition, so it is dropped.  The vectors are returned
+    negated, ready to be added to slacks.
     """
-    m = len(loads)
-    counts = [0] * m  # members on each resource
-    picks = [0] * r
-    found = set()
-
-    def place(j):
-        if j == r:
-            found.add(tuple([costs[loads[c] + counts[c] - 1] for c in picks]))
-            return
-        for c in range(m):
-            if c and loads[c] == loads[c - 1] and not counts[c - 1]:
-                continue
-            counts[c] += 1
-            picks[j] = c
-            place(j + 1)
-            counts[c] -= 1
-
-    place(0)
-    return _pareto_max([tuple([-x for x in v]) for v in found])
+    return _pareto_max(tuple([-costs[loads[c] + picks.count(c) - 1] for c in picks])
+                       for picks in itertools.product(range(len(loads)), repeat=r))
 
 
 def _pareto_max(vectors) -> list:

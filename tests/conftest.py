@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from coalstab import auction, games, reserve, srsg
-from coalstab.errors import InputError
+from coalstab.errors import ContractError, InputError
 
 # every property test is reproducible and untimed; each sets only max_examples
 settings.register_profile("coalstab", derandomize=True, deadline=None)
@@ -103,6 +103,46 @@ def random_auction(rng: random.Random, s: int, n: int) -> auction.AuctionInstanc
     values = sorted(rng.sample(range(1, 50 * n), n), reverse=True)
     ctrs = sorted(rng.sample(range(1, 40 * s), s), reverse=True)
     return auction.AuctionInstance(s, values, ctrs)
+
+
+def vcg_utilities(inst: auction.AuctionInstance, reports: Sequence) -> tuple:
+    """Every bidder's utility in the truthful auction on `reports` (pairwise
+    distinct, one per bidder): slots go by report, each winner pays its
+    `vcg_payments` price on the reports in that order, losers get 0."""
+    order = sorted(range(inst.n), key=lambda i: reports[i], reverse=True)
+    prices = auction.vcg_payments(inst, [reports[i] for i in order])
+    utilities = [Fraction(0)] * inst.n
+    for slot, (bidder, price) in enumerate(zip(order, prices), start=1):
+        utilities[bidder] = (inst.values[bidder] - price) * inst.ctr(slot)
+    return tuple(utilities)
+
+
+def judged_vcg_deviations(inst: auction.AuctionInstance, r: int) -> int:
+    """How many size-r potential coalitions have a weak deviation from
+    truth-telling, each judged by `games.first_deviation` on
+    `vcg_utilities`.  A coalition of two or more is judged on
+    `vcg_coalition_deviation`'s misreport.  The construction refuses a
+    single bidder (ContractError), whose reports at the midpoint of every
+    gap between 0, the values and twice the top value are judged instead,
+    so that it can take every rank."""
+    truthful = vcg_utilities(inst, inst.values)
+    points = sorted({Fraction(0), *inst.values, 2 * inst.values[0]})
+    midpoints = [(a + b) / 2 for a, b in zip(points, points[1:])]
+    count = 0
+    for members in auction.iter_potential_coalitions(inst.s, inst.n, r):
+        indices = [rank - 1 for rank in members]
+        if r > 1:
+            candidates = [auction.vcg_coalition_deviation(inst, members)]
+        else:
+            with pytest.raises(ContractError):
+                auction.vcg_coalition_deviation(inst, members)
+            candidates = list(games.rebids(inst.values, indices,
+                                           [(b,) for b in midpoints]))
+        found = games.first_deviation(
+            candidates, indices, [truthful[i] for i in indices],
+            lambda i, reports: vcg_utilities(inst, reports)[i], games.WEAK)
+        count += found is not None
+    return count
 
 
 def brute_force_sse(inst: auction.AuctionInstance, cfg: reserve.VcgStarConfig,
@@ -262,7 +302,7 @@ class ShapeInfo:
 def classify_shape(vector: Sequence) -> ShapeInfo:
     """Exact convexity/concavity flags of a decreasing positive vector plus
     the largest beta each direction certifies."""
-    vec = auction._as_fraction_tuple(vector)
+    vec = tuple(Fraction(v) for v in vector)
     if len(vec) < 2:
         raise InputError("need at least two entries to classify")
     if vec[-1] <= 0 or not auction._strictly_decreasing(vec):

@@ -16,8 +16,8 @@ import pytest
 
 from coalstab import auction, games, reserve, srsg
 from coalstab.errors import ContractWarning
-from conftest import (REPEAT, ROTATE, SPLIT, pair_gain, random_auction,
-                      simulate_pair_deviation, vcg_payments_recursive)
+from conftest import (REPEAT, ROTATE, SPLIT, judged_vcg_deviations, pair_gain,
+                      random_auction, simulate_pair_deviation, vcg_payments_recursive)
 
 
 def report(label: str, elapsed: float, budget: float) -> None:
@@ -185,7 +185,7 @@ def test_c07_decay_extremes_pin_the_pair_count():
             s, auction.ShapeSpec("beta_concave", 2 * s, beta=2),
             auction.ShapeSpec("linear", s))
         assert auction.count_pair_deviations(late_cliff, "le") == \
-            auction.potential_count(s, 2)
+            auction.potential_count(s, 2 * s, 2)
     report("c07 value decay extremes: neighbours only vs all pairs, s in [2,50]",
            time.monotonic() - start, 30)
 
@@ -244,12 +244,14 @@ def test_c10_truthful_auction_maximally_collusive():
     rng = random.Random(10)
     for s in range(2, 7):
         inst = random_auction(rng, s, 2 * s)
-        for r in range(2, s + 1):
-            assert auction.count_vcg_coalition_deviations(inst, r) == \
-                auction.potential_count(s, r)
+        for r in range(1, s + 1):
+            # each coalition's midpoint misreport judged by the deviation rule
+            judged = judged_vcg_deviations(inst, r)
+            assert auction.count_vcg_coalition_deviations(inst, r) == judged
+            assert judged == (auction.potential_count(s, 2 * s, r) if r > 1 else 0)
     big = auction.make_instance(36, auction.ShapeSpec("linear", 72),
                                 auction.ShapeSpec("linear", 36))
-    m2 = auction.potential_count(36, 2)
+    m2 = auction.potential_count(36, 72, 2)
     assert auction.count_pair_deviations(big, "le") / m2 < 0.5
     assert auction.count_vcg_coalition_deviations(big, 2) == m2
     report("c10 all potential coalitions move truthfully; rank-by-bid far fewer",

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from coalstab import auction, games
 from coalstab.errors import BudgetExceededError, ContractError, InputError, TieError
-from conftest import (classify_shape, gsp_utility, pair_gain, random_auction,
-                      reference_bid_grid, simulate_pair_deviation, vcg_payments_recursive,
-                      verify_symmetric_ne)
+from conftest import (classify_shape, gsp_utility, judged_vcg_deviations, pair_gain,
+                      random_auction, reference_bid_grid, simulate_pair_deviation,
+                      vcg_payments_recursive, verify_symmetric_ne)
 
 
 @st.composite
@@ -56,6 +56,49 @@ def fraction_scan(inst, bids, members, kind, refine):
 @pytest.fixture(scope="module")
 def tiny():
     return auction.AuctionInstance(2, (10, 6, 2), (2, 1))
+
+
+class TestExactIntake:
+    def test_rationals_are_kept_exactly(self):
+        inst = auction.AuctionInstance(2, ("10", "13/2", 2), (Fraction(5, 2), "0.5"))
+        assert inst.values == (10, Fraction(13, 2), 2)
+        assert inst.ctrs == (Fraction(5, 2), Fraction(1, 2))
+        assert all(type(v) is Fraction for v in inst.values + inst.ctrs)
+
+    @pytest.mark.parametrize("slot_count, values, ctrs", [
+        (2, (0.3, 0.1, 0.05), (2, 1)), (2, (10, 6, 2), (2.0, 1)),
+        (2, (10, 6, True), (2, 1)), (2, ("x", 6, 2), (2, 1)),
+        (2, (10, 6, None), (2, 1)), (2, (10, 6, "1/0"), (2, 1)),
+        (2.0, (10, 6, 2), (2, 1)), (True, (10, 6), (2,)), ("2", (10, 6, 2), (2, 1)),
+    ])
+    def test_anything_else_is_an_input_error(self, slot_count, values, ctrs):
+        with pytest.raises(InputError):
+            auction.AuctionInstance(slot_count, values, ctrs)
+
+    @pytest.mark.parametrize("call", [
+        lambda inst: auction.vcg_payments(inst, (10, 6, 0.5)),
+        lambda inst: auction.gsp_outcome(inst, (10, 6, 0.5)),
+        lambda inst: auction.gsp_outcome(inst, (10, True, 2)),
+        lambda inst: auction.bid_grid(inst, (10, 6, "x")),
+        lambda inst: auction.exhaustive_bid_search(inst, (10, 6, 0.5), (1, 2)),
+        lambda inst: auction.gsp_reserve_witness(inst, (10, 6, 0.5), 3),
+        lambda inst: auction.gsp_reserve_witness(inst, (10, 6, 2), 0.5),
+        lambda inst: auction.ShapeSpec("beta_convex", 4, beta=2.0),
+        lambda inst: auction.ShapeSpec("linear", 4, high=True),
+        lambda inst: auction.ShapeSpec("linear", 4, high=8, low="x"),
+        lambda inst: auction.ShapeSpec("linear", 4.0),
+    ], ids=["vcg_payments", "gsp_outcome-float", "gsp_outcome-bool", "bid_grid",
+            "exhaustive_bid_search", "gsp_reserve_witness-bids",
+            "gsp_reserve_witness-c", "ShapeSpec-beta", "ShapeSpec-high",
+            "ShapeSpec-low", "ShapeSpec-length"])
+    def test_every_number_is_exact(self, tiny, call):
+        with pytest.raises(InputError):
+            call(tiny)
+
+    def test_rational_text_is_accepted(self, tiny):
+        assert auction.gsp_outcome(tiny, ("10", "6", "1/2")).payments == \
+            (6, Fraction(1, 2))
+        assert auction.ShapeSpec("beta_convex", 4, beta="3/2").beta == Fraction(3, 2)
 
 
 class TestPayments:
@@ -250,7 +293,7 @@ class TestPairCounts:
             s = rng.randrange(2, 12)
             inst = random_auction(rng, s, 2 * s)
             count = auction.count_pair_deviations(inst, "le")
-            assert s <= count <= auction.potential_count(s, 2)
+            assert s <= count <= auction.potential_count(s, 2 * s, 2)
             assert auction.count_pair_deviations(inst, "ue") >= 2 * s - 1
 
     def test_fast_counter_agrees_with_predicates(self):
@@ -280,7 +323,7 @@ class TestPairCounts:
             mid = auction.count_pair_deviations(linear, "le")
             hi = auction.count_pair_deviations(concave, "le")
             assert lo == s
-            assert hi == auction.potential_count(s, 2)
+            assert hi == auction.potential_count(s, 2 * s, 2)
             assert lo <= mid <= hi
 
     @settings(max_examples=300)
@@ -313,11 +356,35 @@ class TestPairCounts:
 
 class TestPotentialCoalitions:
     def test_count_small_case(self):
-        assert auction.potential_count(3, 2) == 6
+        assert auction.potential_count(3, 6, 2) == 6
+
+    def test_short_loser_block_pinned(self):
+        # s = 3, n = 4: only bidder 4 loses, so no block of two losers exists
+        assert [auction.potential_count(3, 4, r) for r in (1, 2, 3, 4)] == [3, 6, 4, 1]
 
     def test_singletons_are_the_winners(self):
         for s in (1, 4, 9):
-            assert auction.potential_count(s, 1) == s
+            assert auction.potential_count(s, 2 * s, 1) == s
+            assert auction.potential_count(s, 2, 1) == min(s, 2)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_size_must_be_positive(self, r):
+        with pytest.raises(InputError):
+            auction.potential_count(3, 4, r)
+
+    def test_no_coalition_outgrows_the_bidders(self):
+        assert auction.potential_count(3, 4, 5) == 0
+        assert list(auction.iter_potential_coalitions(3, 4, 5)) == []
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_count_is_the_enumeration_length(self, data):
+        s = data.draw(st.integers(1, 8), label="s")
+        n = data.draw(st.integers(2, 2 * s + 2), label="n")
+        r = data.draw(st.integers(1, n), label="r")
+        listed = list(auction.iter_potential_coalitions(s, n, r))
+        assert auction.potential_count(s, n, r) == len(listed)
+        assert all(auction.is_potential_coalition(c, s, n) for c in listed)
 
     def test_predicate_requires_consecutive_loser_block(self):
         assert auction.is_potential_coalition((1, 4), 3, 8)
@@ -328,7 +395,7 @@ class TestPotentialCoalitions:
     def test_enumeration_matches_formula_and_predicate(self):
         for s, n, r in [(3, 8, 2), (3, 8, 3), (4, 9, 3), (5, 12, 4)]:
             listed = list(auction.iter_potential_coalitions(s, n, r))
-            assert len(listed) == auction.potential_count(s, r)
+            assert len(listed) == auction.potential_count(s, n, r)
             assert len(set(listed)) == len(listed)
             scan = [c for c in itertools.combinations(range(1, n + 1), r)
                     if auction.is_potential_coalition(c, s, n)]
@@ -339,10 +406,12 @@ class TestTruthfulCoalitionMoves:
     def test_every_potential_coalition_verifies(self):
         rng = random.Random(12)
         for s in (2, 3, 4):
-            inst = random_auction(rng, s, 2 * s)
-            for r in range(2, s + 1):
-                count = auction.count_vcg_coalition_deviations(inst, r)
-                assert count == auction.potential_count(s, r)
+            for n in sorted({2, s, s + 1, 2 * s}):
+                inst = random_auction(rng, s, n)
+                for r in range(1, n + 1):
+                    judged = judged_vcg_deviations(inst, r)
+                    assert auction.count_vcg_coalition_deviations(inst, r) == judged
+                    assert judged == (auction.potential_count(s, n, r) if r > 1 else 0)
 
     def test_full_winner_coalition_gains_except_cheapest(self):
         inst = auction.AuctionInstance(3, (20, 15, 9, 4, 2, 1), (7, 4, 2))
@@ -362,6 +431,17 @@ class TestTruthfulCoalitionMoves:
         inst = auction.AuctionInstance(3, (20, 15, 9, 4, 2, 1), (7, 4, 2))
         with pytest.raises(ContractError):
             auction.vcg_coalition_deviation(inst, (1, 5))
+
+    @pytest.mark.parametrize("members", [(1,), (3,), (4,)])
+    def test_single_bidder_rejected(self, members):
+        # a coalition of one never gains in the truthful auction
+        inst = auction.AuctionInstance(3, (20, 15, 9, 4, 2, 1), (7, 4, 2))
+        with pytest.raises(ContractError):
+            auction.vcg_coalition_deviation(inst, members)
+
+    def test_single_bidders_count_zero(self):
+        inst = auction.AuctionInstance(2, (10, 6, 2), (2, 1))
+        assert auction.count_vcg_coalition_deviations(inst, 1) == 0
 
 
 class TestCoalitionReduction:
@@ -395,13 +475,13 @@ class TestCoalitionReduction:
         with pytest.raises(InputError):
             call(tiny, (1.5, 2))
 
-    @pytest.mark.parametrize("count", [
-        lambda inst, r: auction.count_coalition_deviations(inst, auction.LE, r),
-        auction.count_vcg_coalition_deviations,
-    ], ids=["le", "vcg"])
-    def test_coalition_counters_charge_the_budget(self, count, monkeypatch):
+    @pytest.mark.parametrize("eq", [auction.LE, auction.UE])
+    def test_coalition_counters_charge_the_budget(self, eq, monkeypatch):
+        def count(inst, r):
+            return auction.count_coalition_deviations(inst, eq, r)
+
         inst = random_auction(random.Random(14), 4, 8)
-        m3 = auction.potential_count(4, 3)
+        m3 = auction.potential_count(4, 8, 3)
         monkeypatch.setenv("COALSTAB_BUDGET", str(m3 - 1))
         with pytest.raises(BudgetExceededError) as info:
             count(inst, 3)
@@ -411,13 +491,35 @@ class TestCoalitionReduction:
         monkeypatch.setenv("COALSTAB_BUDGET", str(m3))
         assert 0 < count(inst, 3) <= m3
 
+    def test_truthful_count_charges_no_budget(self, monkeypatch):
+        # the count is proven, not searched
+        inst = random_auction(random.Random(14), 4, 8)
+        monkeypatch.setenv("COALSTAB_BUDGET", "0")
+        assert auction.count_vcg_coalition_deviations(inst, 3) == \
+            auction.potential_count(4, 8, 3)
+
+    def test_neighbouring_members_decide_like_all_pairs(self):
+        rng = random.Random(15)
+        for _ in range(40):
+            s = rng.randrange(1, 10)
+            n = rng.randrange(s + 1, 2 * s + 3)
+            inst = random_auction(rng, s, n)
+            for eq in (auction.LE, auction.UE):
+                moving = set(auction.deviating_pairs(inst, eq))
+                for r in range(2, min(n, 5) + 1):
+                    for members in auction.iter_potential_coalitions(s, n, r):
+                        eligible = [m for m in members if m <= s + 1]
+                        all_pairs = any(p in moving for p in
+                                        itertools.combinations(eligible, 2))
+                        assert auction.coalition_deviates(inst, eq, members) == all_pairs
+
     def test_rank_by_bid_auction_is_harder_to_collude_in(self):
         inst = auction.make_instance(8, auction.ShapeSpec("linear", 16),
                                      auction.ShapeSpec("linear", 8))
         for r in (2, 3):
             gsp = auction.count_coalition_deviations(inst, "le", r)
             truthful = auction.count_vcg_coalition_deviations(inst, r)
-            assert gsp < truthful == auction.potential_count(8, r)
+            assert gsp < truthful == auction.potential_count(8, 16, r)
 
 
 SCAN_CAP = 15_000

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -248,7 +249,7 @@ class TestAuctionCommand:
         assert code == 1 and out == ""
         assert "more bidders than slots" in json.loads(err.strip())["detail"]
 
-    @pytest.mark.parametrize("eq", ["le", "vcg"])
+    @pytest.mark.parametrize("eq", ["le", "ue"])
     def test_budget_cut_keeps_the_pair_row(self, capsys, monkeypatch, eq):
         # M_2 = 78 fits the budget, M_4 = 793 does not
         monkeypatch.setenv("COALSTAB_BUDGET", "78")
@@ -261,6 +262,38 @@ class TestAuctionCommand:
         assert table.provenance["truncated"] == (
             "r 4: budget exceeded: search space of 793 potential coalitions "
             "exceeds budget 78")
+
+    def test_truthful_count_is_not_charged_to_the_budget(self, capsys, monkeypatch):
+        # the VCG count is proven: M_20 at s = 40 is far past a budget of 1
+        monkeypatch.setenv("COALSTAB_BUDGET", "1")
+        code, out, _ = run_cli(capsys, "auction", "--s", "40", "--count-coalitions",
+                               "20", "--eq", "vcg")
+        assert code == 0
+        [(eq, s, r, count, potential, ratio)] = ResultTable.from_csv(out).rows
+        assert (eq, s, r, ratio) == ("vcg", 40, 20, 1.0)
+        assert count == potential == sum(math.comb(40, t) for t in range(1, 21))
+
+    @pytest.mark.parametrize("r, vcg, le", [
+        (1, "vcg,3,1,0,3,0.0", "le,3,1,0,3,0.0"),
+        (2, "vcg,3,2,6,6,1.0", "le,3,2,3,6,0.5"),
+        (3, "vcg,3,3,4,4,1.0", "le,3,3,4,4,1.0"),
+        (4, "vcg,3,4,1,1,1.0", "le,3,4,1,1,1.0"),
+    ], ids=["r1", "r2", "r3", "r4"])
+    def test_rows_count_only_coalitions_that_exist(self, capsys, r, vcg, le):
+        # n = 4: one loser, so no loser block of two; single bidders never gain
+        for eq, row in (("vcg", vcg), ("le", le)):
+            code, out, _ = run_cli(capsys, "auction", "--s", "3", "--n", "4",
+                                   "--v", "8,6,4,2", "--x", "4,2,1", "--eq", eq,
+                                   "--count-coalitions", str(r))
+            assert code == 0
+            assert out.splitlines()[-1] == row
+
+    def test_coalition_larger_than_the_bidders_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "auction", "--s", "3", "--n", "4",
+                                 "--count-coalitions", "5", "--eq", "vcg")
+        assert (code, out) == (1, "")
+        assert json.loads(err.strip()) == {"error": "InputError",
+                                           "detail": "coalition size 5 exceeds the 4 bidders"}
 
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_coalition_size_must_be_positive(self, capsys, size):

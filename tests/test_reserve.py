@@ -135,6 +135,30 @@ class TestVcgStarConfig:
             reserve.VcgStarConfig(q_reserve, v_max)
 
 
+class TestExactIntake:
+    @pytest.mark.parametrize("call", [
+        lambda inst: reserve.reserve_vcg(inst, 0.5),
+        lambda inst: reserve.reserve_vcg(inst, True),
+        lambda inst: reserve.reserve_vcg(inst, 3, reports=(10, 6, 0.5)),
+        lambda inst: reserve.expected_utilities_vcg_star(
+            inst, reserve.VcgStarConfig(Fraction(1, 2)), (10, "x", 2)),
+        lambda inst: reserve.misreport_grid(inst, 0, 1, 20.0),
+        lambda inst: reserve.vcg_star_lambda(inst, 0.1),
+        lambda inst: reserve.lambda_payment_gap_bound(inst, 0.1),
+    ], ids=["reserve_vcg-c-float", "reserve_vcg-c-bool", "reserve_vcg-reports",
+            "expected_utilities_vcg_star-reports", "misreport_grid-v_max",
+            "vcg_star_lambda", "lambda_payment_gap_bound"])
+    def test_anything_else_is_an_input_error(self, tiny, call):
+        with pytest.raises(InputError):
+            call(tiny)
+
+    def test_rational_text_is_accepted(self, tiny):
+        assert reserve.reserve_vcg(tiny, "1/2") == reserve.reserve_vcg(tiny, Fraction(1, 2))
+        assert reserve.lambda_payment_gap_bound(tiny, "1/8") == Fraction(30, 8)
+        assert reserve.misreport_grid(tiny, 0, 1, "20") == \
+            reserve.misreport_grid(tiny, 0, 1, 20)
+
+
 class TestTruthTellingSearch:
     def test_certified_with_enough_slots(self, square):
         for q in (Fraction(1, 4), Fraction(1, 2)):
