@@ -281,7 +281,7 @@ def cmd_reserve(args) -> int:
 # ---------------------------------------------------------------------------
 
 _RANGE_RE = re.compile(r"^(\d+):(\d+)(?::(\d+))?$")
-_EXPR_RE = re.compile(r"^(?:(\d*)m)?([+-]?\d+)?$")
+_EXPR_RE = re.compile(r"^(?:(\d*)m(?=[+-]|$))?([+-]?\d+)?$")
 
 
 def parse_range(text: str) -> range:
@@ -291,11 +291,14 @@ def parse_range(text: str) -> range:
     lo, hi, step = int(m.group(1)), int(m.group(2)), int(m.group(3) or 1)
     if step == 0:
         raise InputError(f"range step must be positive, got {text!r}")
+    if lo > hi:
+        raise InputError(f"range is empty, got {text!r}")
     return range(lo, hi + 1, step)
 
 
 def eval_expr(text: str, m: int) -> int:
-    """Evaluate a linear expression in m: '4m', 'm+1', '12'."""
+    """Evaluate a linear expression in m: '4m', 'm+1', '12'.  A constant
+    after the m term carries its sign: '2m3' and 'm 3' are refused."""
     match = _EXPR_RE.match(text.replace(" ", ""))
     if not match or (match.group(1) is None and match.group(2) is None):
         raise InputError(f"cannot parse expression {text!r}")

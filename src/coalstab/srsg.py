@@ -218,12 +218,20 @@ def _random_balanced_row(inst: SrsgInstance, rng: random.Random,
     return tuple(row)
 
 
+def _check_count(value, name: str) -> None:
+    """Refuse a seed or a sample count that is no int (a bool or a float;
+    `random.Random` seeds a float with its hash) or is negative (it seeds
+    with the absolute value)."""
+    if type(value) is not int:  # nor a bool
+        raise InputError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise InputError(f"{name} must be nonnegative")
+
+
 def sample_random_ne(inst: SrsgInstance, seed: int) -> Assignment:
     """Independent uniformly random nearly balanced partition per step.  The
-    seed must be nonnegative (`random.Random` seeds with its absolute
-    value)."""
-    if seed < 0:
-        raise InputError("seed must be nonnegative")
+    seed must be a nonnegative int (`_check_count`)."""
+    _check_count(seed, "seed")
     if not inst.cost.is_convex:
         raise ContractError("random nearly balanced rows are equilibria only "
                             "for convex costs")
@@ -374,14 +382,13 @@ def sample_pair_deviation_counts(inst: SrsgInstance, samples: int, seed: int,
     The sampler gets there without building rows: it deals each step with
     `_deal`, as `sample_random_ne` does, cuts only the q overfull chunks
     from the permuted pool and passes them straight to the mask counter
-    that `count_pair_deviations` uses.  The seed must be nonnegative, as
-    for `sample_random_ne`.  The pool starts no more processes than it has
-    jobs, nor more than the process has usable CPUs (`_usable_cpus`).
+    that `count_pair_deviations` uses.  The sample count and the seed must
+    be nonnegative ints (`_check_count`).  The pool starts no more
+    processes than it has jobs, nor more than the process has usable CPUs
+    (`_usable_cpus`).
     """
-    if samples < 0:
-        raise InputError("samples must be nonnegative")
-    if seed < 0:
-        raise InputError("seed must be nonnegative")
+    _check_count(samples, "samples")
+    _check_count(seed, "seed")
     if not inst.cost.is_convex:
         raise ContractError("random equilibrium sampling requires convex costs")
     workers = min(workers, _usable_cpus())
@@ -441,24 +448,25 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     ints: the action is one int with a 1 in field t*m + r_t for each step t,
     each field `n.bit_length()` bits wide, so a profile's sum holds every
     step's loads and no field carries (a load is at most n).  `utility`
-    reads the agent's k fields of that sum.  An action's packed int and
-    field offsets are built the first time a call meets it, never as a
-    table of all m^k; an action outside range(m^k) is an InputError there.
-    The game keeps the last tuple profile it summed (a held reference, so
-    an identity check is exact) with its loads: the members' calls on one
-    candidate share one sum.  A list is summed on every call, since it may
-    change in place.
+    sums the profile on every call and reads the agent's k fields of the
+    sum.  An action's packed int and field offsets are built the first time
+    a call meets it, never as a table of all m^k; an action outside
+    range(m^k) is an InputError there.  `utility` keeps no state but the
+    encoding dicts, which only ever gain entries.
 
     Ships an exact `deviation_test` hook, in agreement with the generic scan
     on every input.  A member's cost depends only on its own action and the
     loads, and the outsiders' loads are the profile's loads less the
-    members' ints, so the scan's verdict depends only on the loads, the
+    members' ints, so the scan's verdict depends only on the profile, the
     multiset of the members' actions and the kind.  The hook memoises its
     answers under the sorted tuple of the members' actions, for the current
-    loads and kind only: a query with other loads or another kind starts a
-    new memo.  So a score vector decides each coalition orbit (coalitions
-    equal up to relabelling agents with equal actions) once, and no answer
-    outlives the query it belongs to.
+    profile and kind only: the memo holds the profile as a tuple, its loads
+    (summed once per memo) and the answers, and a query with another
+    profile or kind starts a new memo.  A list profile never equals the
+    held tuple, so a list changed in place always gets a fresh answer.  So a
+    score vector decides each coalition orbit (coalitions equal up to
+    relabelling agents with equal actions) once, and no answer outlives the
+    query it belongs to.
 
     On a miss the hook folds the steps one at a time over the members'
     slacks (baseline cost minus cost so far, costs scaled to ints): costs
@@ -466,19 +474,20 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     Each step subtracts every achievable vector of step costs and keeps the
     slacks that can still end in a deviation, at least 1 (strict) or 0
     (weak) after the last step.  Costs are nondecreasing in the load, so in
-    step t every member pays at least `cheapest(t)`, the cost at the least
-    outsider load plus one.  That reach bound makes the need after step t
-    the floor plus the `cheapest` costs of the later steps: a slack below
-    it never recovers, and a member whose baseline falls short of the
-    floor plus every step's `cheapest` rejects the coalition before any
-    step.  Step 0 adds the distinct maximal step-cost vectors to one slack
-    vector, so its survivors are already entrywise-maximal; the middle
-    steps keep only the entrywise-maximal survivors (`_pareto_max`); the
-    last step only asks whether some sum reaches the floor, with some entry
-    above 0 for a weak deviation, and stops at the first that does.  The
-    caches live as long as the game: `step_costs` (`_step_costs`) on a
-    step's packed outsider fields and on their sorted loads, and `cheapest`
-    on the packed fields; a fold adds at most k entries to each cache.
+    a step every member pays at least the cost at the least outsider load
+    plus one.  That reach bound gives one running need: it starts at the
+    floor plus every step's least cost, and a member whose baseline falls
+    short of it rejects the coalition before any step; each step then
+    takes off its own least cost, and a slack below what is left never
+    recovers.  Step 0 adds the distinct maximal step-cost vectors to one
+    slack vector, so its survivors are already entrywise-maximal; the
+    middle steps keep only the entrywise-maximal survivors (`_pareto_max`);
+    the last step only asks whether some sum reaches the floor, with some
+    entry above 0 for a weak deviation, and stops at the first that does.
+    Two step caches live as long as the game: `sorted_loads`, a step's
+    ascending outsider loads by its packed fields, and `step_costs`
+    (`_step_costs`) on those loads and r, so steps with equal load
+    multisets share one table.  A fold adds at most k entries to each.
     """
     values = inst.cost.values
     m, n, k = inst.m, inst.n, inst.k
@@ -488,43 +497,27 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     width = n.bit_length()
     mask = (1 << width) - 1
     packed, shifts = {}, {}  # action -> its packed int, its k field offsets
-    # the last tuple profile summed and its packed loads, as one pair, so a
-    # reader never sees the profile of one update with the loads of another
-    held = (None, 0)
 
     def loads_of(profile):
         """The packed loads of `profile`, encoding each action the sum
-        misses; a tuple's loads are held for the next call on it."""
-        nonlocal held
-        last, loads = held
-        if profile is last:
-            return loads
+        misses."""
         while True:
             try:
-                loads = sum(map(packed.__getitem__, profile))
-                break
+                return sum(map(packed.__getitem__, profile))
             except KeyError as missing:
                 a = missing.args[0]
             if not (type(a) is int and 0 <= a < action_count):
                 raise InputError(f"action {a!r} outside range({action_count})")
             shifts[a] = [width * (t * m + a // m ** t % m) for t in range(k)]
             packed[a] = sum(1 << s for s in shifts[a])
-        if type(profile) is tuple:
-            held = (profile, loads)
-        return loads
 
     def utility(agent: int, profile):
-        nonlocal held
-        last, loads = held
-        if profile is not last:
-            loads = 0
-            try:  # a plain loop: faster than sum(map(...)) at these lengths
-                for a in profile:
-                    loads += packed[a]
-            except KeyError:
-                loads = loads_of(profile)
-            if type(profile) is tuple:
-                held = (profile, loads)
+        loads = 0
+        try:  # a plain loop: faster than sum(map(...)) at these lengths
+            for a in profile:
+                loads += packed[a]
+        except KeyError:
+            loads = loads_of(profile)
         u = 0
         for s in shifts[profile[agent]]:
             u += gains[loads >> s & mask]
@@ -532,19 +525,13 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
 
     row = width * m  # the bits of one step's m fields
     row_mask = (1 << row) - 1
-    by_loads = functools.cache(functools.partial(_step_costs, costs))
 
     @functools.cache
-    def step_costs(fields: int, r: int) -> list:
-        """`_step_costs` for the outsider loads packed in one step's `fields`."""
-        loads = sorted([fields >> s & mask for s in range(0, row, width)])
-        return by_loads(tuple(loads), r)
+    def sorted_loads(fields: int) -> tuple:
+        """The outsider loads packed in one step's `fields`, ascending."""
+        return tuple(sorted([fields >> s & mask for s in range(0, row, width)]))
 
-    @functools.cache
-    def cheapest(fields: int) -> int:
-        """The least any member pays in the step of `fields`: the cost at
-        the least outsider load plus the member itself."""
-        return costs[min([fields >> s & mask for s in range(0, row, width)])]
+    step_costs = functools.cache(functools.partial(_step_costs, costs))
 
     def fold(own: tuple, loads: int, kind: str) -> bool:
         """Whether members with the actions `own` deviate at `loads`."""
@@ -557,16 +544,15 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
             for s in shifts[a]:
                 cost += costs[(loads >> s & mask) - 1]
             base.append(cost)
-        fields = [outside >> row * t & row_mask for t in range(k)]
-        needs = [floor] * k  # needs[t]: the least slack that survives step t
-        for t in range(k - 1, 0, -1):
-            needs[t - 1] = needs[t] + cheapest(fields[t])
-        if min(base) < needs[0] + cheapest(fields[0]):
+        steps = [sorted_loads(outside >> row * t & row_mask) for t in range(k)]
+        # the least slack that can still end in a deviation
+        need = floor + sum([costs[step[0]] for step in steps])
+        if min(base) < need:
             return False
         slacks = [tuple(base)]
-        for t in range(k - 1):
-            vectors = step_costs(fields[t], r)
-            need = needs[t]
+        for t, step in enumerate(steps[:-1]):
+            vectors = step_costs(step, r)
+            need -= costs[step[0]]
             # tuple() of a list, not of a generator, reuses freed tuples of
             # its size; of a generator it allocates anew and memory grows
             sums = (tuple([a + b for a, b in zip(s, v)])
@@ -576,23 +562,25 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
                 return False
             if t:  # base plus distinct maximal vectors is already maximal
                 slacks = _pareto_max(slacks)
-        for v in step_costs(fields[-1], r):
+        for v in step_costs(steps[-1], r):
             for s in slacks:
                 d = [a + b for a, b in zip(s, v)]
                 if min(d) >= floor and (floor or any(d)):
                     return True
         return False
 
-    memo = (None, None, {})  # (loads, kind, answers by sorted member actions)
+    # (profile as a tuple, kind, its packed loads, answers by sorted member
+    # actions), one snapshot, so a reader never mixes two queries' parts
+    memo = (None, None, 0, {})
 
     def deviation_test(members, profile, kind):
         nonlocal memo
-        loads = loads_of(profile)
-        own = tuple(sorted([profile[i] for i in members]))
-        at, of, answers = memo
-        if at != loads or of != kind:
+        at, of, loads, answers = memo
+        if at != profile or of != kind:  # a list never equals the tuple
+            loads = loads_of(profile)
             answers = {}
-            memo = (loads, kind, answers)
+            memo = (tuple(profile), kind, loads, answers)
+        own = tuple(sorted([profile[i] for i in members]))
         answer = answers.get(own)
         if answer is None:
             answer = answers[own] = fold(own, loads, kind)

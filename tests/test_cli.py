@@ -446,10 +446,15 @@ class TestSweepCommand:
         assert code == 0
         assert len(ResultTable.from_csv(out).rows) == 2
 
-    def test_empty_range_is_fine(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "auction", "--s", "20:10")
-        assert code == 0
-        assert ResultTable.from_csv(out).rows == []
+    # an empty range would print a header with no rows and exit 0
+    @pytest.mark.parametrize("argv", [("auction", "--s", "20:10"),
+                                      ("srsg", "--m", "5:3", "--n", "m+1", "--k", "2")],
+                             ids=["auction", "srsg"])
+    def test_empty_range_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err.strip()) == {"error": "InputError",
+                                           "detail": f"range is empty, got {argv[2]!r}"}
 
     def test_range_validation(self, capsys):
         for bad in ("abc", "10:20:0"):
@@ -464,6 +469,13 @@ class TestSweepCommand:
         assert cli.eval_expr("7", 2) == 7
         with pytest.raises(InputError):
             cli.eval_expr("m*m", 2)
+
+    # a constant after the m term needs a sign; without one '2m3' would
+    # read as 2m+3
+    @pytest.mark.parametrize("text", ["2m3", "m 3", "m3", "2 m 1"])
+    def test_unsigned_constant_after_m_is_refused(self, text):
+        with pytest.raises(InputError, match="cannot parse expression"):
+            cli.eval_expr(text, 4)
 
 
 # One malformed or zero-denominator rational for each flag that takes one.

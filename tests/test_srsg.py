@@ -55,7 +55,7 @@ class TestCostsAndEquilibria:
         for _ in range(20):
             m, n, k = rng.randrange(2, 5), rng.randrange(2, 9), rng.randrange(2, 4)
             inst = srsg.SrsgInstance(m, n, k, srsg.CostFn.linear(n))
-            assert srsg.is_nash(inst, srsg.sample_random_ne(inst, rng.random()))
+            assert srsg.is_nash(inst, srsg.sample_random_ne(inst, rng.randrange(2**32)))
 
     def test_is_nash_matches_generic_singleton_scan(self):
         rng = random.Random(9)
@@ -306,6 +306,17 @@ class TestSampler:
         with pytest.raises(InputError):
             srsg.sample_random_ne(inst, -1)
 
+    # random.Random seeds a float with its hash and True as 1; a float count
+    # would reach range() as a bare TypeError
+    @pytest.mark.parametrize("value", [1.5, True, False, 2.0])
+    def test_seed_and_count_must_be_ints(self, small_instance, value):
+        with pytest.raises(InputError, match="seed must be an int"):
+            srsg.sample_random_ne(small_instance, value)
+        with pytest.raises(InputError, match="seed must be an int"):
+            srsg.sample_pair_deviation_counts(small_instance, 1, value)
+        with pytest.raises(InputError, match="samples must be an int"):
+            srsg.sample_pair_deviation_counts(small_instance, value, 1)
+
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         """The process count of each `multiprocessing.Pool` the test starts."""
@@ -466,8 +477,8 @@ class TestEncoding:
             got, want = game.utility(agent, profile), -total_cost(inst, assignment, agent)
             assert (got, type(got)) == (want, type(want))
 
-    # the game holds the last tuple profile it summed; a list changed in
-    # place, or another tuple, must be summed afresh
+    # `utility` keeps no profile between calls; a list changed in place, or
+    # another tuple, must be summed afresh
     @pytest.mark.parametrize("cost", [
         srsg.CostFn.linear(5),
         srsg.CostFn((Fraction(1, 2), 1, Fraction(5, 2), 4, Fraction(22, 3))),
@@ -616,7 +627,7 @@ def memo_cases(draw):
 
 
 class TestHookMemo:
-    """The hook's answers hold only for the loads and kind they were found
+    """The hook's answers hold only for the profile and kind they were found
     at: every query agrees with the generic scan, whatever came before."""
 
     @settings(max_examples=40)
@@ -646,8 +657,36 @@ class TestHookMemo:
             assert (games._generic_search(game, (0, 1), profile, kind) is not None) == want
             assert game.deviation_test((0, 1), profile, kind) == want
 
-    # both caches are one-object snapshots, read once per call, so threads
-    # sharing a game never pair one profile's loads with another's
+    # the memo keeps a tuple copy of its profile, and a list never equals a
+    # tuple, so a list changed in place between queries is decided afresh
+    @pytest.mark.parametrize("kind", [games.STRICT, games.WEAK])
+    def test_list_changed_in_place_gets_fresh_answers(self, kind):
+        game = srsg.induced_game(srsg.SrsgInstance(2, 4, 2, srsg.CostFn.linear(4)))
+        profile = [0, 0, 0, 0]
+        for actions, want in (((0, 0), True), ((3, 3), False), ((0, 0), True)):
+            profile[2:] = actions
+            assert (games._generic_search(game, (0, 1), tuple(profile), kind)
+                    is not None) == want
+            assert game.deviation_test((0, 1), profile, kind) == want
+
+    # a profile is matched by value: a second tuple with the same actions
+    # reads the answers the first one found
+    def test_equal_profile_tuples_get_the_same_answers(self):
+        inst = srsg.SrsgInstance(3, 5, 2, srsg.CostFn.linear(5))
+        game = srsg.induced_game(inst)
+        first = srsg.assignment_to_profile(inst, ((0, 0, 1, 1, 2), (0, 1, 0, 1, 2)))
+        second = tuple(list(first))
+        assert first == second and first is not second
+        for kind in (games.STRICT, games.WEAK):
+            for r in (1, 2, 3):
+                for members in itertools.combinations(range(inst.n), r):
+                    want = games._generic_search(game, members, first, kind) is not None
+                    assert game.deviation_test(members, first, kind) == want
+                    assert game.deviation_test(members, second, kind) == want
+
+    # the memo is a one-object snapshot, read once per call, and `utility`
+    # keeps no state but the encoding dicts, so threads sharing a game never
+    # pair one profile's loads with another's
     def test_threads_sharing_a_game_get_fresh_answers(self):
         inst = srsg.SrsgInstance(3, 5, 2, srsg.CostFn.linear(5))
         game = srsg.induced_game(inst)
