@@ -317,11 +317,14 @@ def cmd_sweep(args) -> int:
         lo_expr, _, hi_expr = args.n.partition(":")
         builder = {"repeat": srsg.build_repeat_ne,
                    "scatter": srsg.build_scatter_ne}[args.profile]
+        spans = {m: range(eval_expr(lo_expr, m), eval_expr(hi_expr or lo_expr, m) + 1)
+                 for m in parse_range(args.m)}
+        if not any(spans.values()):
+            raise InputError(f"n range is empty for every m, got {args.n!r}")
         cut = None
         try:
-            for m in parse_range(args.m):
-                n_lo, n_hi = eval_expr(lo_expr, m), eval_expr(hi_expr or lo_expr, m)
-                for n in range(n_lo, n_hi + 1):
+            for m, span in spans.items():
+                for n in span:
                     inst = srsg.SrsgInstance(m, n, args.k, srsg.CostFn.linear(n))
                     a = builder(inst)
                     count = srsg.count_pair_deviations(inst, a, args.method)

@@ -15,6 +15,7 @@ import os
 import random
 from fractions import Fraction
 from math import ceil, comb, exp
+from operator import add, ge
 from typing import Optional, Sequence
 
 from . import games
@@ -416,18 +417,19 @@ def assignment_to_profile(inst: SrsgInstance, assignment: Sequence) -> tuple:
 
 
 def _step_costs(costs: Sequence, loads: tuple, r: int) -> list:
-    """Pareto-minimal vectors of r members' costs in one step.
+    """Pareto-minimal vectors of r members' costs in one step, negated.
 
-    `loads` are the outsiders' loads, `costs[t-1]` the cost at load t.
-    Every one of the m^r picks of a resource per member is tried (the
-    search budget caps m^(k*r) with k >= 2, so at the default that is at
-    most 10^4); a member on resource c pays the cost at c's outsider load
-    plus the members there.  A vector another one is at most entrywise
-    never helps a coalition, so it is dropped.  The vectors are returned
-    negated, ready to be added to slacks.
+    `loads` are the outsiders' loads, `costs[t-1]` the cost at load t; a
+    member on resource c pays the cost at c's outsider load plus the members
+    there.  Any member can take any pick, so the vectors are closed under
+    permuting the members, and only the C(m+r-1, r) multisets of picks are
+    tried.  Their minimal sorted vectors are kept, and every distinct
+    ordering of each is returned: were one ordering at most another
+    entrywise, so would their sorted forms be.
     """
-    return _pareto_max(tuple([-costs[loads[c] + picks.count(c) - 1] for c in picks])
-                       for picks in itertools.product(range(len(loads)), repeat=r))
+    kinds = _pareto_max(tuple(sorted([-costs[loads[c] + p.count(c) - 1] for c in p]))
+                        for p in itertools.combinations_with_replacement(range(len(loads)), r))
+    return [v for kind in kinds for v in set(itertools.permutations(kind))]
 
 
 def _pareto_max(vectors) -> list:
@@ -436,7 +438,7 @@ def _pareto_max(vectors) -> list:
     so in the pass by descending sum it is seen first."""
     kept = []
     for v in sorted(set(vectors), key=sum, reverse=True):
-        if not any(all(a >= b for a, b in zip(w, v)) for w in kept):
+        if not any(all(map(ge, w, v)) for w in kept):
             kept.append(v)
     return kept
 
@@ -479,11 +481,13 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     floor plus every step's least cost, and a member whose baseline falls
     short of it rejects the coalition before any step; each step then
     takes off its own least cost, and a slack below what is left never
-    recovers.  Step 0 adds the distinct maximal step-cost vectors to one
-    slack vector, so its survivors are already entrywise-maximal; the
-    middle steps keep only the entrywise-maximal survivors (`_pareto_max`);
-    the last step only asks whether some sum reaches the floor, with some
-    entry above 0 for a weak deviation, and stops at the first that does.
+    recovers.  A step's vectors are closed under permuting the members, and
+    so are sums of them, so only the sorted form of the slacks matters to
+    later steps: every step but the last sorts each sum, drops those whose
+    least entry is short of the need and keeps the entrywise-maximal rest
+    (`_pareto_max`), which reach all the dropped ones can.  The last step
+    only asks whether some sum reaches the floor, with some entry above 0
+    for a weak deviation, and stops at the first that does.
     Two step caches live as long as the game: `sorted_loads`, a step's
     ascending outsider loads by its packed fields, and `step_costs`
     (`_step_costs`) on those loads and r, so steps with equal load
@@ -549,19 +553,14 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
         need = floor + sum([costs[step[0]] for step in steps])
         if min(base) < need:
             return False
-        slacks = [tuple(base)]
-        for t, step in enumerate(steps[:-1]):
+        slacks = [tuple(sorted(base))]
+        for step in steps[:-1]:
             vectors = step_costs(step, r)
             need -= costs[step[0]]
-            # tuple() of a list, not of a generator, reuses freed tuples of
-            # its size; of a generator it allocates anew and memory grows
-            sums = (tuple([a + b for a, b in zip(s, v)])
-                    for s in slacks for v in vectors)
-            slacks = [d for d in sums if min(d) >= need]
+            sums = (tuple(sorted(map(add, s, v))) for s in slacks for v in vectors)
+            slacks = _pareto_max([d for d in sums if d[0] >= need])
             if not slacks:
                 return False
-            if t:  # base plus distinct maximal vectors is already maximal
-                slacks = _pareto_max(slacks)
         for v in step_costs(steps[-1], r):
             for s in slacks:
                 d = [a + b for a, b in zip(s, v)]

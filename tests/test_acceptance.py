@@ -143,6 +143,28 @@ def test_srsg_repeat_equilibrium_scored_to_four():
         assert games.score_vector(game, profile, kind, 4, budget=10**14).counts == counts
 
 
+def test_srsg_cold_repeat_vectors_to_six():
+    """Repeat-equilibrium score vectors to r = 5 and 6, each on a fresh
+    game, so that every step table is built cold (the weak r = 4 vector of
+    srsg(6,30,3) is the test above's).  srsg(4,8,4) at r = 6 charges
+    256^6 > 10^14 joint actions, so the budget is 10^15 for all.  The
+    vectors are pinned, with one runtime gate for the group."""
+    start = time.monotonic()
+    for (m, n, k), kind, counts in (
+            ((6, 30, 3), games.WEAK, (0, 0, 60, 1530, 18756)),
+            ((6, 30, 3), games.STRICT, (0, 0, 60, 30, 756)),
+            ((4, 8, 4), games.WEAK, (0, 0, 0, 0, 0, 0)),
+            ((3, 9, 3), games.WEAK, (0, 0, 3, 18, 18, 3)),
+            ((6, 18, 2), games.STRICT, (0, 0, 0, 0, 0))):
+        inst = srsg.SrsgInstance(m, n, k, srsg.CostFn.linear(n))
+        profile = srsg.assignment_to_profile(inst, srsg.build_repeat_ne(inst))
+        game = srsg.induced_game(inst)
+        assert games.score_vector(game, profile, kind, len(counts),
+                                  budget=10**15).counts == counts, (m, n, k, kind)
+    report("srsg cold repeat-equilibrium vectors to r = 6",
+           time.monotonic() - start, 10)
+
+
 def test_c05_revenue_equivalence_and_recursion_identity():
     start = time.monotonic()
     rng = random.Random(55)

@@ -456,6 +456,22 @@ class TestSweepCommand:
         assert json.loads(err.strip()) == {"error": "InputError",
                                            "detail": f"range is empty, got {argv[2]!r}"}
 
+    # n from 2m to m+1 is empty at every m >= 2, so no row could follow
+    def test_n_range_empty_for_every_m_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "srsg", "--m", "3:4",
+                                 "--n", "2m:m+1", "--k", "2")
+        assert (code, out) == (1, "")
+        assert json.loads(err.strip()) == {
+            "error": "InputError", "detail": "n range is empty for every m, got '2m:m+1'"}
+
+    # n from 4 to m+1 is empty at m = 2 only, which adds no rows
+    def test_n_range_empty_for_some_m_skips_them(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "srsg", "--m", "2:4",
+                               "--n", "4:m+1", "--k", "2")
+        assert code == 0
+        rows = ResultTable.from_csv(out).rows
+        assert [row[:2] for row in rows] == [(3, 4), (4, 4), (4, 5)]
+
     def test_range_validation(self, capsys):
         for bad in ("abc", "10:20:0"):
             code, out, err = run_cli(capsys, "sweep", "auction", "--s", bad)

@@ -548,6 +548,17 @@ FIVE = (srsg.SrsgInstance(2, 6, 2, srsg.CostFn((0, 1, 1, 2, 4, 4))),
         [(3, 3, 3, 0, 1, 3), (3, 3, 3, 3, 3, 0)], [(0, 1, 2, 3, 4), (1, 2, 3, 4, 5)])
 
 
+# srsg(2,7,3) and srsg(2,6,3), linear cost, coalitions of four (4,096
+# joints), so the fold runs one middle step.  In each, two different sums
+# of that step sort to the same slack tuple and are carried as one:
+# (7, 6, 8, 9) and (6, 7, 8, 9) in the first, which deviates strictly, and
+# (1, 3, 7, 5) and (1, 5, 3, 7) in the second, which does not deviate weakly.
+MIDDLE_STRICT = (srsg.SrsgInstance(2, 7, 3, srsg.CostFn.linear(7)),
+                 [(7, 7, 6, 2, 3, 2, 6)], [(0, 1, 5, 6)])
+MIDDLE_WEAK = (srsg.SrsgInstance(2, 6, 3, srsg.CostFn.linear(6)),
+               [(3, 4, 6, 4, 4, 5)], [(0, 2, 3, 5)])
+
+
 class TestDeviationTest:
     """The srsg decision hook against the generic scan of the same utility."""
 
@@ -563,6 +574,8 @@ class TestDeviationTest:
     @example(case=crowded(8, 3), kind=games.WEAK)
     @example(case=FIVE, kind=games.STRICT)
     @example(case=FIVE, kind=games.WEAK)
+    @example(case=MIDDLE_STRICT, kind=games.STRICT)
+    @example(case=MIDDLE_WEAK, kind=games.WEAK)
     def test_hook_agrees_with_generic_scan(self, case, kind):
         inst, profiles, coalitions = case
         game = srsg.induced_game(inst)
@@ -742,6 +755,29 @@ class TestParetoMax:
         kept = srsg._pareto_max(vectors)
         assert len(kept) == len(set(kept))
         assert set(kept) == maximal(vectors)
+
+
+def product_step_costs(costs, loads, r) -> list:
+    """A step table by brute force: the negated cost vectors of all m^r
+    picks of a resource per member, entrywise-maximal ones kept."""
+    return srsg._pareto_max(tuple([-costs[loads[c] + picks.count(c) - 1] for c in picks])
+                            for picks in itertools.product(range(len(loads)), repeat=r))
+
+
+class TestStepCosts:
+    """`_step_costs` tries one pick per multiset of resources; its table is
+    the one all m^r picks give, with no vector twice or dominated."""
+
+    @settings(max_examples=150)
+    @given(m=st.integers(2, 5), r=st.integers(1, 5), data=st.data())
+    def test_table_is_the_pareto_maximum_of_every_pick(self, m, r, data):
+        n = r + data.draw(st.integers(0, 4))
+        scaled = games.scaled(data.draw(costs(n)).values)
+        loads = tuple(data.draw(st.lists(st.integers(0, n - r), min_size=m, max_size=m)))
+        table = srsg._step_costs(scaled, loads, r)
+        assert len(table) == len(set(table))
+        assert set(table) == set(product_step_costs(scaled, loads, r))
+        assert set(srsg._pareto_max(table)) == set(table)
 
 
 class TestOnDemandEncoding:
