@@ -422,14 +422,22 @@ def _step_costs(costs: Sequence, loads: tuple, r: int) -> list:
     `loads` are the outsiders' loads, `costs[t-1]` the cost at load t; a
     member on resource c pays the cost at c's outsider load plus the members
     there.  Any member can take any pick, so the vectors are closed under
-    permuting the members, and only the C(m+r-1, r) multisets of picks are
-    tried.  Their minimal sorted vectors are kept, and every distinct
-    ordering of each is returned: were one ordering at most another
-    entrywise, so would their sorted forms be.
+    permuting the members: only the C(m+r-1, r) multisets of picks are
+    tried, and each minimal sorted vector is returned in every distinct
+    ordering (no second dominance pass: were one ordering at most another
+    entrywise, so would their sorted forms be).
     """
     kinds = _pareto_max(tuple(sorted([-costs[loads[c] + p.count(c) - 1] for c in p]))
                         for p in itertools.combinations_with_replacement(range(len(loads)), r))
-    return [v for kind in kinds for v in set(itertools.permutations(kind))]
+    return [v for kind in kinds for v in _orderings(kind)]
+
+
+def _orderings(kind: tuple) -> list:
+    """The distinct orderings of `kind`, each once: every distinct value in
+    turn leads the orderings of the rest, so the work is their number times
+    at most r^3, never r! (13 values, two distinct: 1,716 orderings)."""
+    return [(v,) + o for i, v in enumerate(kind) if v not in kind[:i]
+            for o in _orderings(kind[:i] + kind[i + 1:])] if kind else [()]
 
 
 def _pareto_max(vectors) -> list:
@@ -472,22 +480,20 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
 
     On a miss the hook folds the steps one at a time over the members'
     slacks (baseline cost minus cost so far, costs scaled to ints): costs
-    add over steps and a step's loads depend only on its own choices.
-    Each step subtracts every achievable vector of step costs and keeps the
-    slacks that can still end in a deviation, at least 1 (strict) or 0
-    (weak) after the last step.  Costs are nondecreasing in the load, so in
-    a step every member pays at least the cost at the least outsider load
-    plus one.  That reach bound gives one running need: it starts at the
-    floor plus every step's least cost, and a member whose baseline falls
-    short of it rejects the coalition before any step; each step then
-    takes off its own least cost, and a slack below what is left never
-    recovers.  A step's vectors are closed under permuting the members, and
-    so are sums of them, so only the sorted form of the slacks matters to
-    later steps: every step but the last sorts each sum, drops those whose
-    least entry is short of the need and keeps the entrywise-maximal rest
-    (`_pareto_max`), which reach all the dropped ones can.  The last step
-    only asks whether some sum reaches the floor, with some entry above 0
-    for a weak deviation, and stops at the first that does.
+    add over steps and a step's loads depend only on its own choices.  A
+    step's achievable cost vectors are closed under permuting the members,
+    and so are sums of them, so a slack vector's future depends only on its
+    sorted form.  Every step but the last adds each vector of the step's
+    table to each slack, sorts the sum, drops those whose least entry is
+    short of the running need and keeps the entrywise-maximal rest
+    (`_pareto_max`), which reach all the dropped ones can.  The need is a
+    reach bound: costs are nondecreasing in the load, so in a step every
+    member pays at least the cost at the least outsider load plus one.  It
+    starts at the floor, 1 (strict) or 0 (weak), plus every step's least
+    cost, rejects the coalition before any step if a baseline falls short
+    of it, and loses each step's least cost as the step is taken.  The last
+    step only asks whether some sum reaches the floor, with some entry
+    above 0 for a weak deviation, and stops at the first that does.
     Two step caches live as long as the game: `sorted_loads`, a step's
     ascending outsider loads by its packed fields, and `step_costs`
     (`_step_costs`) on those loads and r, so steps with equal load
@@ -540,7 +546,6 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     def fold(own: tuple, loads: int, kind: str) -> bool:
         """Whether members with the actions `own` deviate at `loads`."""
         outside = loads - sum(map(packed.__getitem__, own))
-        r = len(own)
         floor = 1 if kind == games.STRICT else 0
         base = []
         for a in own:
@@ -555,13 +560,13 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
             return False
         slacks = [tuple(sorted(base))]
         for step in steps[:-1]:
-            vectors = step_costs(step, r)
+            vectors = step_costs(step, len(own))
             need -= costs[step[0]]
             sums = (tuple(sorted(map(add, s, v))) for s in slacks for v in vectors)
             slacks = _pareto_max([d for d in sums if d[0] >= need])
             if not slacks:
                 return False
-        for v in step_costs(steps[-1], r):
+        for v in step_costs(steps[-1], len(own)):
             for s in slacks:
                 d = [a + b for a, b in zip(s, v)]
                 if min(d) >= floor and (floor or any(d)):

@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -778,6 +779,25 @@ class TestStepCosts:
         assert len(table) == len(set(table))
         assert set(table) == set(product_step_costs(scaled, loads, r))
         assert set(srsg._pareto_max(table)) == set(table)
+
+    @pytest.mark.parametrize("loads", [(0, 1), (3, 3)])
+    def test_few_resources_many_members(self, loads):
+        """Two resources and ten members: 2^10 picks, but 10! = 3.6 M
+        permutations of one cost multiset, so listing every permutation
+        and dropping repeats would take seconds per table.  The distinct
+        orderings take milliseconds."""
+        scaled = games.scaled(srsg.CostFn.linear(14).values)
+        start = time.perf_counter()
+        table = srsg._step_costs(scaled, loads, 10)
+        assert time.perf_counter() - start < 1
+        assert len(table) == len(set(table))
+        assert set(table) == set(product_step_costs(scaled, loads, 10))
+
+    def test_orderings_are_distinct_and_complete(self):
+        for kind in [(), (5,), (1, 1, 1), (0, 1, 1, 2, 2, 2), (-3, -3, -1, 0)]:
+            orders = srsg._orderings(kind)
+            assert len(orders) == len(set(orders))
+            assert set(orders) == set(itertools.permutations(kind))
 
 
 class TestOnDemandEncoding:
