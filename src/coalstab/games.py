@@ -108,8 +108,11 @@ class FiniteGame(Record):
     coalition, profile and kind, and must say exactly whether the coalition
     has a deviation of that kind: its answer must equal "the generic scan
     over the coalition's joint actions finds a witness" on every input (the
-    package's tests cross-check the two).  It decides only; witnesses always
-    come from the generic scan.
+    package's tests cross-check the two).  Its answer must depend only on
+    the profile, the kind and the multiset of the members' actions, so that
+    coalitions equal up to relabelling players with equal actions get one
+    answer: `count_deviating` asks it once per such orbit.  It decides only;
+    witnesses always come from the generic scan.
     """
 
     player_count: int
@@ -295,6 +298,51 @@ def has_deviation(game: FiniteGame, profile: Sequence, coalition: Iterable,
     return deviates(game, profile, members, kind, search_budget(budget))
 
 
+def count_deviating(game: FiniteGame, profile: Profile, size: int, kind: str,
+                    limit: int) -> int:
+    """The number of coalitions of `size` players with a deviation of
+    `kind`, for callers that validate the profile and the kind once and
+    pass `limit` from `search_budget`.
+
+    On a game with a `deviation_test` hook, players with the same action
+    (and the same action count) form a class.  Coalitions that take as many
+    members from each class form an orbit, on which the hook gives one
+    answer, and they all have the same joint action space.  So `deviates`
+    is asked once per vector of takes t_j, on the first t_j players of each
+    class, and a yes adds prod C(|class_j|, t_j); the takes from classes of
+    two or more players are listed first, then `itertools.combinations`
+    picks the rest among the classes of one.  A size raises
+    BudgetExceededError exactly when one of its coalitions is over the
+    budget; where action counts differ, the error may name another such
+    coalition's space than a plain loop would.  A game without a hook puts
+    every player in a class of its own, so its coalitions are decided one
+    by one in `itertools.combinations` order, with the scans, witnesses and
+    budget errors of a plain loop over them.
+    """
+    if game.deviation_test is None:
+        classes = [[i] for i in range(game.player_count)]
+    else:
+        by_action = {}
+        for i, key in enumerate(zip(profile, game.action_counts)):
+            by_action.setdefault(key, []).append(i)
+        classes = list(by_action.values())
+    singles = [c[0] for c in classes if len(c) == 1]
+    heads = [((), 1)]  # members taken from the shared classes so far, weight
+    for c in classes:
+        if len(c) > 1:
+            takes = [(tuple(c[:t]), comb(len(c), t))
+                     for t in range(min(len(c), size) + 1)]
+            heads = [(head + part, weight * ways) for head, weight in heads
+                     for part, ways in takes[:size - len(head) + 1]]
+    hits = 0
+    for head, weight in heads:
+        for rest in itertools.combinations(singles, size - len(head)):
+            members = tuple(sorted(head + rest)) if head else rest
+            if deviates(game, profile, members, kind, limit):
+                hits += weight
+    return hits
+
+
 def score_vector(game: FiniteGame, profile: Sequence, kind: str = STRICT,
                  r_max: Optional[int] = None,
                  budget: Optional[int] = None) -> ScoreVector:
@@ -302,7 +350,7 @@ def score_vector(game: FiniteGame, profile: Sequence, kind: str = STRICT,
 
     r_max defaults to the player count; capping it avoids the binomial blowup
     when only small coalitions are of interest.  The inputs and the budget
-    are checked once, then `deviates` decides each coalition.  When a
+    are checked once, then `count_deviating` counts each size.  When a
     coalition's search exceeds the budget, the BudgetExceededError raised
     carries the vector of the sizes finished before it as `partial` (size
     `partial.r_max + 1` was cut).
@@ -318,11 +366,7 @@ def score_vector(game: FiniteGame, profile: Sequence, kind: str = STRICT,
     counts = []
     try:
         for r in range(1, r_max + 1):
-            hits = 0
-            for members in itertools.combinations(range(n), r):
-                if deviates(game, profile, members, kind, limit):
-                    hits += 1
-            counts.append(hits)
+            counts.append(count_deviating(game, profile, r, kind, limit))
     except BudgetExceededError as exc:
         exc.partial = ScoreVector(kind, tuple(counts), n)
         raise

@@ -14,7 +14,7 @@ import itertools
 import os
 import random
 from fractions import Fraction
-from math import ceil, comb, exp
+from math import ceil, comb
 from operator import add, ge
 from typing import Optional, Sequence
 
@@ -277,8 +277,9 @@ def count_pair_deviations(inst: SrsgInstance, assignment: Sequence,
     the two agents share an overfull resource in at least two steps (they
     then peel off one at a time, each in a different step).  It holds only
     at equilibria of convex costs, so anything else is a ContractError.
-    "bruteforce" asks the induced game about every pair; each search is
-    capped by the search budget (`COALSTAB_BUDGET`)."""
+    "bruteforce" asks the induced game once per pair orbit (pairs equal up
+    to relabelling agents with equal actions, `games.count_deviating`);
+    each search is capped by the search budget (`COALSTAB_BUDGET`)."""
     assignment = validate_assignment(inst, assignment)
     if method == "structural":
         if not inst.cost.is_convex:
@@ -288,30 +289,9 @@ def count_pair_deviations(inst: SrsgInstance, assignment: Sequence,
                                 "assignment")
         return _structural_pair_count(inst, assignment)
     if method == "bruteforce":
-        game = induced_game(inst)
-        profile = assignment_to_profile(inst, assignment)
-        limit = games.search_budget()
-        return sum(games.deviates(game, profile, pair, games.STRICT, limit)
-                   for pair in itertools.combinations(range(inst.n), 2))
+        return games.count_deviating(induced_game(inst), _profile(inst, assignment),
+                                     2, games.STRICT, games.search_budget())
     raise InputError("method must be 'structural' or 'bruteforce'")
-
-
-def expected_pair_deviations(inst: SrsgInstance, form: str = "collision"):
-    """Approximate expected number of strictly deviating pairs at a random
-    equilibrium (`exact_expected_pair_deviations` is the exact expectation).
-
-    "collision" treats each pair's chance of landing on an overfull shared
-    resource as q/m^2 per step, independent across steps, and evaluates the
-    resulting two-of-k binomial tail in exact rationals; "exponential_approx"
-    is the closed-form Poisson-style approximation with rate q(k-1)/m^2.
-    """
-    pairs = comb(inst.n, 2)
-    if form == "collision":
-        return pairs * _two_or_more_of(inst.k, Fraction(inst.q, inst.m ** 2))
-    if form == "exponential_approx":
-        alpha = inst.q * (inst.k - 1) / inst.m ** 2
-        return pairs * (1.0 - (1.0 + alpha) * exp(-alpha))
-    raise InputError("form must be 'collision' or 'exponential_approx'")
 
 
 def _two_or_more_of(k: int, p: Fraction) -> Fraction:
@@ -411,25 +391,31 @@ def sample_pair_deviation_counts(inst: SrsgInstance, samples: int, seed: int,
 
 def assignment_to_profile(inst: SrsgInstance, assignment: Sequence) -> tuple:
     """Each agent's action: its resource in step t is the base-m digit t."""
-    rows = validate_assignment(inst, assignment)
+    return _profile(inst, validate_assignment(inst, assignment))
+
+
+def _profile(inst: SrsgInstance, rows: Assignment) -> tuple:
+    """`assignment_to_profile` of rows that `validate_assignment` returned."""
     return tuple(sum(row[agent] * inst.m ** t for t, row in enumerate(rows))
                  for agent in range(inst.n))
 
 
-def _step_costs(costs: Sequence, loads: tuple, r: int) -> list:
-    """Pareto-minimal vectors of r members' costs in one step, negated.
+def _step_kinds(costs: Sequence, loads: tuple, r: int) -> list:
+    """The Pareto-minimal multisets of r members' costs in one step, each
+    as its negated costs in descending order (the costs ascending).
 
     `loads` are the outsiders' loads, `costs[t-1]` the cost at load t; a
     member on resource c pays the cost at c's outsider load plus the members
-    there.  Any member can take any pick, so the vectors are closed under
-    permuting the members: only the C(m+r-1, r) multisets of picks are
-    tried, and each minimal sorted vector is returned in every distinct
-    ordering (no second dominance pass: were one ordering at most another
-    entrywise, so would their sorted forms be).
+    there.  Any member can take any pick, so the achievable cost vectors
+    are closed under permuting the members: only the C(m+r-1, r) multisets
+    of picks are tried, and a kept multiset's distinct orderings
+    (`_orderings`) are the step's minimal cost vectors (no second dominance
+    pass: were one ordering at most another entrywise, so would their
+    sorted forms be).
     """
-    kinds = _pareto_max(tuple(sorted([-costs[loads[c] + p.count(c) - 1] for c in p]))
-                        for p in itertools.combinations_with_replacement(range(len(loads)), r))
-    return [v for kind in kinds for v in _orderings(kind)]
+    return _pareto_max(tuple(sorted([-costs[loads[c] + p.count(c) - 1] for c in p],
+                                    reverse=True))
+                       for p in itertools.combinations_with_replacement(range(len(loads)), r))
 
 
 def _orderings(kind: tuple) -> list:
@@ -468,36 +454,49 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
     on every input.  A member's cost depends only on its own action and the
     loads, and the outsiders' loads are the profile's loads less the
     members' ints, so the scan's verdict depends only on the profile, the
-    multiset of the members' actions and the kind.  The hook memoises its
-    answers under the sorted tuple of the members' actions, for the current
-    profile and kind only: the memo holds the profile as a tuple, its loads
-    (summed once per memo) and the answers, and a query with another
-    profile or kind starts a new memo.  A list profile never equals the
-    held tuple, so a list changed in place always gets a fresh answer.  So a
-    score vector decides each coalition orbit (coalitions equal up to
-    relabelling agents with equal actions) once, and no answer outlives the
-    query it belongs to.
+    multiset of the members' actions and the kind: the hook keeps
+    `FiniteGame`'s contract, and `games.count_deviating` asks it once per
+    coalition orbit (coalitions equal up to relabelling agents with equal
+    actions).  The hook keeps no answers: each call sums the profile's loads
+    and folds.
 
-    On a miss the hook folds the steps one at a time over the members'
-    slacks (baseline cost minus cost so far, costs scaled to ints): costs
-    add over steps and a step's loads depend only on its own choices.  A
-    step's achievable cost vectors are closed under permuting the members,
-    and so are sums of them, so a slack vector's future depends only on its
-    sorted form.  Every step but the last adds each vector of the step's
-    table to each slack, sorts the sum, drops those whose least entry is
-    short of the running need and keeps the entrywise-maximal rest
-    (`_pareto_max`), which reach all the dropped ones can.  The need is a
-    reach bound: costs are nondecreasing in the load, so in a step every
-    member pays at least the cost at the least outsider load plus one.  It
-    starts at the floor, 1 (strict) or 0 (weak), plus every step's least
-    cost, rejects the coalition before any step if a baseline falls short
-    of it, and loses each step's least cost as the step is taken.  The last
-    step only asks whether some sum reaches the floor, with some entry
-    above 0 for a weak deviation, and stops at the first that does.
-    Two step caches live as long as the game: `sorted_loads`, a step's
-    ascending outsider loads by its packed fields, and `step_costs`
-    (`_step_costs`) on those loads and r, so steps with equal load
-    multisets share one table.  A fold adds at most k entries to each.
+    The fold takes the steps one at a time over the members' slacks
+    (baseline cost minus cost so far, costs scaled to ints): costs add over
+    steps and a step's loads depend only on its own choices.  A step's
+    achievable cost vectors are closed under permuting the members, and so
+    are sums of them, so a slack vector's future depends only on its sorted
+    form.  Every step but the last adds each vector of the step's table to
+    each slack, sorts the sum, drops those whose least entry is short of the
+    running need and keeps the entrywise-maximal rest (`_pareto_max`), which
+    reach all the dropped ones can.  The need is a reach bound: costs are
+    nondecreasing in the load, so in a step every member pays at least the
+    cost at the least outsider load plus one.  It starts at the floor, 1
+    (strict) or 0 (weak), plus every step's least cost, rejects the
+    coalition before any step if a baseline falls short of it, and loses
+    each step's least cost as the step is taken.
+
+    The last step asks whether some slack less some ordering of some cost
+    multiset leaves every entry at least the floor, and for a weak deviation
+    some entry above 0.  Pairing lemma: for a slack sorted ascending, some
+    ordering of a cost multiset passes exactly when the ascending ordering
+    does.  Exchange argument: if slack s_i <= s_j is paired with cost c_a >=
+    c_b and s_j with c_b, swapping the two costs gives s_i - c_b >= s_i -
+    c_a and s_j - c_a >= s_i - c_a, so the least difference does not fall;
+    a run of such swaps sorts any ordering into the ascending one.  The sum
+    of the differences does not depend on the pairing, and once every
+    difference is at least 0, some difference is above 0 exactly when that
+    sum is.  A multiset whose ascending form is entrywise at least another's
+    does no better in that pairing, so the Pareto-minimal multisets suffice.
+    So the last step pairs each kept slack with each Pareto-minimal cost
+    multiset in ascending cost order (`_step_kinds`), never with its other
+    orderings, and stops at the first pair that deviates.
+
+    Three step caches live as long as the game: `sorted_loads`, a step's
+    ascending outsider loads by its packed fields; `step_kinds`
+    (`_step_kinds`) on those loads and r, so steps with equal load multisets
+    share one table; and `step_costs`, the distinct orderings of a
+    `step_kinds` table, for the steps before the last.  A fold adds at most
+    k entries to each.
     """
     values = inst.cost.values
     m, n, k = inst.m, inst.n, inst.k
@@ -541,10 +540,16 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
         """The outsider loads packed in one step's `fields`, ascending."""
         return tuple(sorted([fields >> s & mask for s in range(0, row, width)]))
 
-    step_costs = functools.cache(functools.partial(_step_costs, costs))
+    step_kinds = functools.cache(functools.partial(_step_kinds, costs))
 
-    def fold(own: tuple, loads: int, kind: str) -> bool:
-        """Whether members with the actions `own` deviate at `loads`."""
+    @functools.cache
+    def step_costs(step: tuple, r: int) -> list:
+        """Every distinct ordering of every multiset of `step_kinds`."""
+        return [v for kind in step_kinds(step, r) for v in _orderings(kind)]
+
+    def deviation_test(members, profile, kind):
+        loads = loads_of(profile)
+        own = [profile[i] for i in members]
         outside = loads - sum(map(packed.__getitem__, own))
         floor = 1 if kind == games.STRICT else 0
         base = []
@@ -566,29 +571,12 @@ def induced_game(inst: SrsgInstance) -> games.FiniteGame:
             slacks = _pareto_max([d for d in sums if d[0] >= need])
             if not slacks:
                 return False
-        for v in step_costs(steps[-1], len(own)):
+        for v in step_kinds(steps[-1], len(own)):  # costs ascending: the lemma
             for s in slacks:
                 d = [a + b for a, b in zip(s, v)]
                 if min(d) >= floor and (floor or any(d)):
                     return True
         return False
-
-    # (profile as a tuple, kind, its packed loads, answers by sorted member
-    # actions), one snapshot, so a reader never mixes two queries' parts
-    memo = (None, None, 0, {})
-
-    def deviation_test(members, profile, kind):
-        nonlocal memo
-        at, of, loads, answers = memo
-        if at != profile or of != kind:  # a list never equals the tuple
-            loads = loads_of(profile)
-            answers = {}
-            memo = (tuple(profile), kind, loads, answers)
-        own = tuple(sorted([profile[i] for i in members]))
-        answer = answers.get(own)
-        if answer is None:
-            answer = answers[own] = fold(own, loads, kind)
-        return answer
 
     return games.FiniteGame(n, (action_count,) * n, utility,
                             deviation_test=deviation_test)

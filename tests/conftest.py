@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -338,6 +339,26 @@ def profile_to_assignment(inst: srsg.SrsgInstance, profile: Sequence) -> tuple:
         for row in rows:
             action, row[agent] = divmod(action, inst.m)
     return tuple(tuple(row) for row in rows)
+
+
+def expected_pair_deviations(inst: srsg.SrsgInstance, form: str = "collision"):
+    """Approximate expected number of strictly deviating pairs at a random
+    equilibrium (`srsg.exact_expected_pair_deviations` is the exact
+    expectation).
+
+    "collision" treats each pair's chance of landing on an overfull shared
+    resource as q/m^2 per step, independent across steps, and evaluates the
+    resulting two-of-k binomial tail in exact rationals; "exponential_approx"
+    is the closed-form Poisson-style approximation with rate q(k-1)/m^2, a
+    float.
+    """
+    pairs = math.comb(inst.n, 2)
+    if form == "collision":
+        return pairs * srsg._two_or_more_of(inst.k, Fraction(inst.q, inst.m ** 2))
+    if form == "exponential_approx":
+        alpha = inst.q * (inst.k - 1) / inst.m ** 2
+        return pairs * (1.0 - (1.0 + alpha) * math.exp(-alpha))
+    raise InputError("form must be 'collision' or 'exponential_approx'")
 
 
 def is_nash_profile(game: games.FiniteGame, profile: Sequence) -> bool:

@@ -255,6 +255,23 @@ class TestScoreVector:
             games.score_vector(small_game, profile, games.STRICT, 3, budget=300)
         assert info.value.partial.counts == (0, 2)
 
+    # players 0 and 1 both play action 0, but with 2 and 3 actions: one
+    # orbit per action and action count, so the budget sees player 1's
+    # space and the hook is asked about each player.  A higher action pays
+    # more, so each player deviates alone, as the hook says.
+    def test_orbits_keep_each_action_count(self):
+        asked = []
+
+        def hook(members, profile, kind):
+            asked.append(members)
+            return True
+
+        game = games.FiniteGame(2, (2, 3), lambda i, p: p[i], deviation_test=hook)
+        with pytest.raises(BudgetExceededError, match="3 joint actions exceeds budget 2"):
+            games.score_vector(game, (0, 0), games.STRICT, 1, budget=2)
+        assert games.score_vector(game, (0, 0), games.STRICT, 1, budget=3).counts == (2,)
+        assert asked == [(0,), (0,), (1,)]
+
     def test_split_profile_counts(self, small_instance, small_game):
         profile = srsg.assignment_to_profile(small_instance, SPLIT)
         vector = games.score_vector(small_game, profile, games.STRICT, 4)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from coalstab import games, srsg
 from coalstab.errors import ContractError, InputError
-from conftest import REPEAT, ROTATE, SPLIT, is_nash_profile, profile_to_assignment, total_cost
+from conftest import (REPEAT, ROTATE, SPLIT, expected_pair_deviations, is_nash_profile,
+                      profile_to_assignment, total_cost)
 
 
 def game_cost(inst, assignment, agent):
@@ -360,30 +361,30 @@ class TestSampler:
 class TestExpectedCounts:
     def test_two_by_three_exact_value(self):
         inst = srsg.SrsgInstance(2, 3, 2, srsg.CostFn.linear(3))
-        assert srsg.expected_pair_deviations(inst) == Fraction(3, 16)
+        assert expected_pair_deviations(inst) == Fraction(3, 16)
 
     def test_balanced_instances_expect_zero(self):
         inst = srsg.SrsgInstance(3, 6, 4, srsg.CostFn.linear(6))
-        assert srsg.expected_pair_deviations(inst) == 0
-        assert srsg.expected_pair_deviations(inst, "exponential_approx") == 0.0
+        assert expected_pair_deviations(inst) == 0
+        assert expected_pair_deviations(inst, "exponential_approx") == 0.0
 
     def test_approximation_tracks_exact_form(self):
         # the two forms approximate each other through the no-deviation
         # probability; their small tails only align once k grows
         pairs = math.comb(55, 2)
         inst = srsg.SrsgInstance(10, 55, 3, srsg.CostFn.linear(55))
-        collision = float(srsg.expected_pair_deviations(inst, "collision"))
-        approx = srsg.expected_pair_deviations(inst, "exponential_approx")
+        collision = float(expected_pair_deviations(inst, "collision"))
+        approx = expected_pair_deviations(inst, "exponential_approx")
         assert 1 - approx / pairs == pytest.approx(1 - collision / pairs, rel=0.01)
         longer = srsg.SrsgInstance(10, 55, 25, srsg.CostFn.linear(55))
-        collision = float(srsg.expected_pair_deviations(longer))
-        approx = srsg.expected_pair_deviations(longer, "exponential_approx")
+        collision = float(expected_pair_deviations(longer))
+        approx = expected_pair_deviations(longer, "exponential_approx")
         assert approx == pytest.approx(collision, rel=0.10)
 
     def test_collision_form_has_no_old_alias(self):
         inst = srsg.SrsgInstance(2, 3, 2, srsg.CostFn.linear(3))
         with pytest.raises(InputError):
-            srsg.expected_pair_deviations(inst, "exact_beta")
+            expected_pair_deviations(inst, "exact_beta")
 
     def test_exact_per_pair_expectation_matches_simulation(self):
         inst = srsg.SrsgInstance(4, 9, 3, srsg.CostFn.linear(9))
@@ -624,11 +625,11 @@ class TestDeviationTest:
         assert calls
 
 
-MEMO_CAP = 256  # the generic scan's joint space m^(k*r) per queried coalition
+QUERY_CAP = 256  # the generic scan's joint space m^(k*r) per queried coalition
 
 
 @st.composite
-def memo_cases(draw):
+def few_action_cases(draw):
     """An srsg instance with a linear or a random nondecreasing cost and
     two profiles, drawn from a few actions so that coalitions of equal
     action multisets recur within and across the profiles."""
@@ -641,15 +642,16 @@ def memo_cases(draw):
 
 
 class TestHookMemo:
-    """The hook's answers hold only for the profile and kind they were found
-    at: every query agrees with the generic scan, whatever came before."""
+    """The hook keeps no answers (the class is named for the per-profile
+    memo it once kept): every query agrees with the generic scan, whatever
+    came before, at any profile and kind."""
 
     @settings(max_examples=40)
-    @given(case=memo_cases(), rng=st.randoms(use_true_random=False))
+    @given(case=few_action_cases(), rng=st.randoms(use_true_random=False))
     def test_shuffled_queries_agree_with_generic_scan(self, case, rng):
         inst, profiles = case
         game = srsg.induced_game(inst)
-        sizes = [r for r in range(1, inst.n + 1) if inst.m ** (inst.k * r) <= MEMO_CAP]
+        sizes = [r for r in range(1, inst.n + 1) if inst.m ** (inst.k * r) <= QUERY_CAP]
         queries = [(profile, members, kind)
                    for profile in profiles for kind in (games.STRICT, games.WEAK)
                    for r in sizes for members in itertools.combinations(range(inst.n), r)]
@@ -661,8 +663,8 @@ class TestHookMemo:
     # srsg(2,4,2), linear cost, coalition (0, 1) with actions (0, 0) both
     # times.  Alone on resource 0 the pair moves together to resource 1 and
     # pays 2 + 2 instead of 4 + 4; with agents 2 and 3 on resource 1 it has
-    # nowhere better to go.  So a memo keyed on the actions alone answers
-    # the second profile from the first.
+    # nowhere better to go.  So an answer kept under the actions alone
+    # would answer the second profile from the first.
     @pytest.mark.parametrize("kind", [games.STRICT, games.WEAK])
     def test_same_actions_under_other_loads(self, kind):
         game = srsg.induced_game(srsg.SrsgInstance(2, 4, 2, srsg.CostFn.linear(4)))
@@ -671,8 +673,7 @@ class TestHookMemo:
             assert (games._generic_search(game, (0, 1), profile, kind) is not None) == want
             assert game.deviation_test((0, 1), profile, kind) == want
 
-    # the memo keeps a tuple copy of its profile, and a list never equals a
-    # tuple, so a list changed in place between queries is decided afresh
+    # a list changed in place between queries is decided afresh
     @pytest.mark.parametrize("kind", [games.STRICT, games.WEAK])
     def test_list_changed_in_place_gets_fresh_answers(self, kind):
         game = srsg.induced_game(srsg.SrsgInstance(2, 4, 2, srsg.CostFn.linear(4)))
@@ -683,8 +684,7 @@ class TestHookMemo:
                     is not None) == want
             assert game.deviation_test((0, 1), profile, kind) == want
 
-    # a profile is matched by value: a second tuple with the same actions
-    # reads the answers the first one found
+    # a second tuple with the same actions gets the first one's answers
     def test_equal_profile_tuples_get_the_same_answers(self):
         inst = srsg.SrsgInstance(3, 5, 2, srsg.CostFn.linear(5))
         game = srsg.induced_game(inst)
@@ -698,9 +698,9 @@ class TestHookMemo:
                     assert game.deviation_test(members, first, kind) == want
                     assert game.deviation_test(members, second, kind) == want
 
-    # the memo is a one-object snapshot, read once per call, and `utility`
-    # keeps no state but the encoding dicts, so threads sharing a game never
-    # pair one profile's loads with another's
+    # the hook and `utility` keep no state but the encoding dicts and the
+    # step caches, so threads sharing a game never pair one profile's loads
+    # with another's
     def test_threads_sharing_a_game_get_fresh_answers(self):
         inst = srsg.SrsgInstance(3, 5, 2, srsg.CostFn.linear(5))
         game = srsg.induced_game(inst)
@@ -736,6 +736,49 @@ class TestHookMemo:
         assert wrong == []
 
 
+ORBIT_CAP = 1024  # the generic scan's joint space m^(k*r) per coalition
+
+
+class TestOrbitCounts:
+    """`games.count_deviating` asks the hook once per coalition orbit
+    (coalitions equal up to relabelling agents with equal actions); its
+    counts equal the hook's answer summed over every coalition and the
+    generic scan's counts."""
+
+    @settings(max_examples=40)
+    @given(case=few_action_cases(), kind=st.sampled_from((games.STRICT, games.WEAK)))
+    def test_orbit_counts_equal_per_coalition_and_generic_counts(self, case, kind):
+        inst, profiles = case
+        game = srsg.induced_game(inst)
+        asked = []
+
+        def hook(members, profile, kind):
+            asked.append(members)
+            return game.deviation_test(members, profile, kind)
+
+        hooked = games.FiniteGame(game.player_count, game.action_counts, game.utility,
+                                  deviation_test=hook)
+        generic = games.FiniteGame(game.player_count, game.action_counts, game.utility)
+        sizes = range(1, 1 + max(r for r in range(1, min(4, inst.n) + 1)
+                                 if inst.m ** (inst.k * r) <= ORBIT_CAP))
+        for profile in profiles:
+            asked.clear()
+            orbits = games.score_vector(hooked, profile, kind, len(sizes)).counts
+            each = tuple(sum(game.deviation_test(members, profile, kind)
+                             for members in itertools.combinations(range(inst.n), r))
+                         for r in sizes)
+            scan = games.score_vector(generic, profile, kind, len(sizes)).counts
+            assert orbits == each == scan
+
+            def orbit(members):
+                return tuple(sorted(profile[i] for i in members))
+
+            every = {orbit(members) for r in sizes
+                     for members in itertools.combinations(range(inst.n), r)}
+            assert len(asked) == len(every)
+            assert {orbit(members) for members in asked} == every
+
+
 def maximal(vectors) -> set:
     """The vectors no other one of `vectors` is entrywise at least."""
     return {v for v in vectors
@@ -765,9 +808,16 @@ def product_step_costs(costs, loads, r) -> list:
                             for picks in itertools.product(range(len(loads)), repeat=r))
 
 
+def step_costs(costs, loads, r) -> list:
+    """The step table a fold's middle step reads: every distinct ordering
+    of every Pareto-minimal cost multiset."""
+    return [v for kind in srsg._step_kinds(costs, loads, r) for v in srsg._orderings(kind)]
+
+
 class TestStepCosts:
-    """`_step_costs` tries one pick per multiset of resources; its table is
-    the one all m^r picks give, with no vector twice or dominated."""
+    """`_step_kinds` tries one pick per multiset of resources; the
+    orderings of its multisets are the table all m^r picks give, with no
+    vector twice or dominated."""
 
     @settings(max_examples=150)
     @given(m=st.integers(2, 5), r=st.integers(1, 5), data=st.data())
@@ -775,7 +825,7 @@ class TestStepCosts:
         n = r + data.draw(st.integers(0, 4))
         scaled = games.scaled(data.draw(costs(n)).values)
         loads = tuple(data.draw(st.lists(st.integers(0, n - r), min_size=m, max_size=m)))
-        table = srsg._step_costs(scaled, loads, r)
+        table = step_costs(scaled, loads, r)
         assert len(table) == len(set(table))
         assert set(table) == set(product_step_costs(scaled, loads, r))
         assert set(srsg._pareto_max(table)) == set(table)
@@ -788,7 +838,7 @@ class TestStepCosts:
         orderings take milliseconds."""
         scaled = games.scaled(srsg.CostFn.linear(14).values)
         start = time.perf_counter()
-        table = srsg._step_costs(scaled, loads, 10)
+        table = step_costs(scaled, loads, 10)
         assert time.perf_counter() - start < 1
         assert len(table) == len(set(table))
         assert set(table) == set(product_step_costs(scaled, loads, 10))
@@ -798,6 +848,49 @@ class TestStepCosts:
             orders = srsg._orderings(kind)
             assert len(orders) == len(set(orders))
             assert set(orders) == set(itertools.permutations(kind))
+
+
+def passes(slack, vector, floor) -> bool:
+    """The fold's last-step rule: every entry of slack + vector (negated
+    costs) at least the floor, and some entry above 0 when the floor is 0."""
+    d = [a + b for a, b in zip(slack, vector)]
+    return min(d) >= floor and bool(floor or any(d))
+
+
+class TestPairingLemma:
+    """The last step pairs a sorted slack with each cost multiset in
+    ascending cost order only: that pairing passes the strict (floor 1) or
+    weak (floor 0) rule exactly when some ordering does."""
+
+    @settings(max_examples=300)
+    @given(r=st.integers(1, 5), data=st.data())
+    def test_ascending_pairing_passes_when_some_ordering_does(self, r, data):
+        slack = tuple(sorted(data.draw(st.lists(st.integers(-2, 6), min_size=r, max_size=r))))
+        costs = data.draw(st.lists(st.integers(0, 5), min_size=r, max_size=r))
+        ascending = tuple(sorted([-c for c in costs], reverse=True))
+        for floor in (0, 1):
+            assert passes(slack, ascending, floor) == \
+                any(passes(slack, v, floor) for v in itertools.permutations(ascending))
+
+    @settings(max_examples=150)
+    @given(m=st.integers(2, 4), r=st.integers(1, 4), data=st.data())
+    def test_kinds_decide_the_last_step_as_every_pick_does(self, m, r, data):
+        """`_step_kinds` lists each multiset with its costs ascending, and
+        the ascending pairings with its multisets pass exactly when some
+        one of all m^r picks does."""
+        n = r + data.draw(st.integers(0, 3))
+        scaled = games.scaled(data.draw(costs(n)).values)
+        loads = tuple(data.draw(st.lists(st.integers(0, n - r), min_size=m, max_size=m)))
+        near = st.sampled_from([0] + scaled).flatmap(
+            lambda c: st.integers(c - 1, c + 2))
+        slack = tuple(sorted(data.draw(st.lists(near, min_size=r, max_size=r))))
+        kinds = srsg._step_kinds(scaled, loads, r)
+        assert all(list(kind) == sorted(kind, reverse=True) for kind in kinds)
+        every = [tuple(-scaled[loads[c] + picks.count(c) - 1] for c in picks)
+                 for picks in itertools.product(range(m), repeat=r)]
+        for floor in (0, 1):
+            assert any(passes(slack, kind, floor) for kind in kinds) == \
+                any(passes(slack, v, floor) for v in every)
 
 
 class TestOnDemandEncoding:
